@@ -43,7 +43,7 @@ from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 __all__ = ["CACHE_VERSION", "stable_token", "trial_key", "TrialCache", "PruneStats"]
 
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 """Salt mixed into every trial key.
 
 Bump this whenever a change alters what any trial computes (engine semantics,

@@ -118,11 +118,11 @@ NULL_RECORDER = NullRecorder()
 def engine_event(path: str, result: object, **extra: Scalar) -> TraceEvent:
     """Build the standard ``"engine"`` event from a ``PhaseResult``.
 
-    Duck-typed on the result's channel-level tallies so both engines (and all
-    three fast-engine paths) share one payload shape; ``path`` names the code
-    path that executed the phase (``"single-hop"``, ``"multihop-dense"``,
-    ``"multihop-sparse"``, ``"slot"``).  Reads only values the engine has
-    already computed.
+    Duck-typed on the result's channel-level tallies so both engines (and both
+    fast-engine paths) share one payload shape; ``path`` names the code path
+    that executed the phase (``"single-hop"``, ``"multihop-sparse"``,
+    ``"slot"``, or ``"empty"`` for a zero-slot phase).  Reads only values the
+    engine has already computed.
     """
 
     plan = result.plan  # type: ignore[attr-defined]

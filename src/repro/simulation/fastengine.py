@@ -31,33 +31,13 @@ Spatial topologies
 
 Over a multi-hop :class:`~repro.simulation.topology.Topology` the aggregate
 shortcut above no longer applies — what a listener hears depends on *which*
-of its neighbours transmitted.  :meth:`PhaseEngine._run_phase_multihop`
-therefore samples per-device send/listen indicator matrices and resolves
-audibility with per-node reachability masks (boolean adjacency matmuls), so
-delivery, noise, and informed-truncation are computed per listener from its
-actual radio neighbourhood.  Memory is ``O(n·slots)``.  Remaining documented
-approximations of the multi-hop path (validated statistically against the
-slot engine):
-
-* a node informed mid-phase stops listening and nacking immediately (exact),
-  but other listeners keep "hearing" its pre-sampled nack/decoy schedule for
-  the rest of the phase (in the protocol's schedules nacks and payload never
-  share a phase, so this only perturbs decoy-variant noise counts);
-* decoy senders that become informed mid-phase keep sending decoys until the
-  phase ends (the slot engine mutes them).
-
-Sparse topologies (n ≫ 10⁴)
----------------------------
-
-The indicator-matrix path above is ``O(n·slots)`` in time *and* memory, which
-caps it well below the network sizes where Gilbert-graph asymptotics appear.
-When the topology reports the CSR backend
-(:attr:`~repro.simulation.topology.Topology.backend` == ``"sparse"``),
-:meth:`PhaseEngine._run_phase_multihop_sparse` runs instead.  It exploits the
-protocol's own sparsity: per-slot action probabilities are ``O(1/n)`` (sends)
-or geometrically decaying (listens), so the *events* of a phase — who
-transmitted in which slot — number ``O(n)`` rather than ``O(n·slots)``.  The
-sparse path:
+of its neighbours transmitted.  :meth:`PhaseEngine._run_phase_multihop_sparse`
+resolves such a phase from its transmission *events* instead.  Per-slot
+action probabilities are ``O(1/n)`` (sends) or geometrically decaying
+(listens), so the events of a phase — who transmitted in which slot — number
+``O(n)`` rather than ``O(n·slots)``, and Gilbert-graph degrees concentrate
+around ``π r² n`` (arXiv:1312.4861), so their audible pairs number
+``O(n · E[deg])``.  The multi-hop path:
 
 * samples transmission events exactly (a Bernoulli grid conditioned on its
   binomial count is a uniform subset of device×slot cells),
@@ -65,17 +45,17 @@ sparse path:
   currently-active listener set (``O(events · E[deg])`` pairs),
 * resolves delivery per listener from its candidate clean-delivery slots
   (exact: collision, spoof, jamming, and half-duplex rules all applied per
-  pair), and
+  pair, and a listener informed mid-phase sends no nack or decoy after its
+  delivery slot), and
 * draws listening costs and request-phase noisy-slot counts as binomials
   over the per-listener slot classification — exact for request phases,
   and the same marginal-truncation approximation as the single-hop path for
   nodes informed mid-phase (listening stops at the delivery slot, but the
   pre-delivery listening cost is drawn marginally).
 
-Both multi-hop paths implement the same phase semantics and are covered by
-the same statistical-equivalence suite; which one runs is purely a
-memory/speed trade governed by the topology's dense/sparse crossover
-(:data:`~repro.simulation.topology.SPARSE_NODE_THRESHOLD`).
+One further documented approximation (validated statistically against the
+slot engine): a reactive jam plan picks its slots from the phase's activity
+before informed listeners fall silent.
 """
 
 from __future__ import annotations
@@ -167,9 +147,7 @@ class PhaseEngine:
 
         topology = network.topology
         if topology is not None and not topology.is_single_hop:
-            if topology.backend == "sparse":
-                return self._run_phase_multihop_sparse(plan, roles, jam_plan, start_slot)
-            return self._run_phase_multihop(plan, roles, jam_plan, start_slot)
+            return self._run_phase_multihop_sparse(plan, roles, jam_plan, start_slot)
 
         uninformed = roles.active_uninformed_ids
         relays = roles.relay_ids
@@ -336,225 +314,7 @@ class PhaseEngine:
         return result
 
     # ------------------------------------------------------------------ #
-    # Multi-hop (spatial-topology) execution                              #
-    # ------------------------------------------------------------------ #
-
-    def _run_phase_multihop(
-        self,
-        plan: PhasePlan,
-        roles: PhaseRoles,
-        jam_plan: JamPlan,
-        start_slot: int = 0,
-    ) -> PhaseResult:
-        """Vectorised execution over a spatial topology.
-
-        Samples per-device send/listen indicators and resolves per-listener
-        audibility through the topology's reachability masks; see the module
-        docstring for the (documented) approximations.
-        """
-
-        network = self.network
-        topology = network.topology
-        rng = self._rng
-        s = plan.num_slots
-        f32 = np.float32
-
-        uninformed = roles.active_uninformed_ids
-        relays = roles.relay_ids
-        decoys = roles.decoy_ids
-        num_u, num_r, num_d = uninformed.size, relays.size, decoys.size
-
-        # ------------------------------------------------------------------ #
-        # 1. Per-device send/listen indicator matrices                        #
-        # ------------------------------------------------------------------ #
-        alice_sends = np.zeros(s, dtype=bool)
-        if roles.alice_active and plan.alice_send_prob > 0:
-            alice_sends = rng.random(s) < plan.alice_send_prob
-
-        relay_sends = np.zeros((num_r, s), dtype=bool)
-        if num_r and plan.relay_send_prob > 0:
-            relay_sends = rng.random((num_r, s)) < plan.relay_send_prob
-
-        nack_sends = np.zeros((num_u, s), dtype=bool)
-        listen_mask = np.zeros((num_u, s), dtype=bool)
-        if num_u:
-            if plan.nack_send_prob > 0:
-                nack_sends = rng.random((num_u, s)) < plan.nack_send_prob
-            if plan.uninformed_listen_prob > 0:
-                listen_mask = ~nack_sends & (rng.random((num_u, s)) < plan.uninformed_listen_prob)
-
-        decoy_sends = np.zeros((num_d, s), dtype=bool)
-        if num_d and plan.decoy_send_prob > 0:
-            decoy_sends = rng.random((num_d, s)) < plan.decoy_send_prob
-            if num_u:
-                # Half-duplex, mirroring the slot engine: a decoy sender that
-                # chose a nack keeps the nack; one that chose to listen
-                # transmits the decoy and forfeits the observation (the slot
-                # costs one unit either way).
-                position = {int(node): idx for idx, node in enumerate(uninformed)}
-                shared = [
-                    (d_idx, position[int(node)])
-                    for d_idx, node in enumerate(decoys)
-                    if int(node) in position
-                ]
-                if shared:
-                    d_rows = np.array([d for d, _ in shared], dtype=np.int64)
-                    u_rows = np.array([u for _, u in shared], dtype=np.int64)
-                    decoy_sends[d_rows] &= ~nack_sends[u_rows]
-                    listen_mask[u_rows] &= ~decoy_sends[d_rows]
-
-        # ------------------------------------------------------------------ #
-        # 2. Adversary actions (jamming + spoofed transmissions)              #
-        # ------------------------------------------------------------------ #
-        correct_tx = (
-            alice_sends.astype(np.int64)
-            + relay_sends.sum(axis=0)
-            + nack_sends.sum(axis=0)
-            + decoy_sends.sum(axis=0)
-        )
-        correct_activity = correct_tx > 0
-
-        (
-            jam_mask,
-            spoof_counts,
-            adversary_spend,
-            jammed_slots,
-            spoofed_transmissions,
-        ) = self._materialize_adversary_actions(jam_plan, s, rng, correct_activity)
-        busy_slots = int(np.count_nonzero((correct_tx + spoof_counts > 0) | jam_mask))
-
-        # ------------------------------------------------------------------ #
-        # 3. Per-listener audibility through reachability masks               #
-        # ------------------------------------------------------------------ #
-        newly_informed: Set[int] = set()
-        node_noisy: Dict[int, int] = {}
-        delivery_slots = 0
-        jam_victims = 0
-        if num_u:
-            # Authentic payload copies audible to each listener: Alice's sends
-            # if she is in range, plus in-range relays (spoofed "payloads" are
-            # unauthenticated and counted as noise below).
-            hears_alice = topology.reach_matrix_f32(uninformed, [ALICE_ID])
-            payload_heard = hears_alice * alice_sends.astype(f32)[None, :]
-            if num_r and plan.relay_send_prob > 0:
-                payload_heard += topology.reach_matrix_f32(uninformed, relays) @ relay_sends.astype(
-                    f32
-                )
-
-            other_heard = np.zeros((num_u, s), dtype=f32)
-            if spoofed_transmissions:
-                other_heard += spoof_counts.astype(f32)[None, :]
-            if plan.nack_send_prob > 0:
-                # Zero diagonal in the reach matrix: no one hears its own nack.
-                other_heard += topology.reach_matrix_f32(uninformed, uninformed) @ nack_sends.astype(
-                    f32
-                )
-            if num_d and plan.decoy_send_prob > 0:
-                other_heard += topology.reach_matrix_f32(uninformed, decoys) @ decoy_sends.astype(
-                    f32
-                )
-
-            jam_affects_listeners = jam_plan.targeting.mode is not JamMode.NONE
-            victim = (
-                self._victim_mask(uninformed, jam_plan)
-                if jam_affects_listeners
-                else np.zeros(num_u, dtype=bool)
-            )
-            jam_victims = int(victim.sum())
-            jam_for_node = jam_mask[None, :] & victim[:, None]
-
-            clean_delivery = (payload_heard == 1) & (other_heard == 0) & ~jam_for_node
-
-            active_until = np.full(num_u, s - 1, dtype=np.int64)
-            if plan.carries_payload and plan.uninformed_listen_prob > 0:
-                opportunity = listen_mask & clean_delivery
-                informed_mask = opportunity.any(axis=1)
-                if informed_mask.any():
-                    first_slot = opportunity.argmax(axis=1)
-                    active_until[informed_mask] = first_slot[informed_mask]
-                    newly_informed = set(int(x) for x in uninformed[informed_mask])
-                    delivery_slots = int(np.unique(first_slot[informed_mask]).size)
-
-            cols = np.arange(s, dtype=np.int64)
-            active = cols[None, :] <= active_until[:, None]
-
-            noisy_slot = jam_for_node | ((payload_heard + other_heard > 0) & ~clean_delivery)
-            heard_noisy = (listen_mask & active & noisy_slot).sum(axis=1)
-            listen_cost = (listen_mask & active).sum(axis=1)
-            nack_cost = (nack_sends & active).sum(axis=1)
-
-            network.node_ledgers.charge_bulk_many(EnergyOperation.LISTEN, uninformed, listen_cost)
-            network.node_ledgers.charge_bulk_many(EnergyOperation.SEND, uninformed, nack_cost)
-            if plan.kind is PhaseKind.REQUEST:
-                node_noisy = {
-                    int(uninformed[idx]): int(heard_noisy[idx]) for idx in range(num_u)
-                }
-
-        # ------------------------------------------------------------------ #
-        # 4. Alice                                                            #
-        # ------------------------------------------------------------------ #
-        alice_send_slots = int(np.count_nonzero(alice_sends))
-        if alice_send_slots:
-            network.alice.ledger.charge_bulk(EnergyOperation.SEND, float(alice_send_slots))
-
-        alice_noisy = 0
-        alice_listen_slots = 0
-        if roles.alice_active and plan.alice_listen_prob > 0:
-            alice_listens = (rng.random(s) < plan.alice_listen_prob) & ~alice_sends
-            audible_alice = np.zeros(s, dtype=f32)
-            if spoofed_transmissions:
-                audible_alice += spoof_counts.astype(f32)
-            if num_r and plan.relay_send_prob > 0:
-                audible_alice += (
-                    topology.reach_matrix_f32([ALICE_ID], relays) @ relay_sends.astype(f32)
-                )[0]
-            if num_u and plan.nack_send_prob > 0:
-                audible_alice += (
-                    topology.reach_matrix_f32([ALICE_ID], uninformed) @ nack_sends.astype(f32)
-                )[0]
-            if num_d and plan.decoy_send_prob > 0:
-                audible_alice += (
-                    topology.reach_matrix_f32([ALICE_ID], decoys) @ decoy_sends.astype(f32)
-                )[0]
-            jam_for_alice = (
-                jam_mask if jam_plan.targeting.affects(ALICE_ID) else np.zeros(s, dtype=bool)
-            )
-            alice_noisy = int((alice_listens & ((audible_alice > 0) | jam_for_alice)).sum())
-            alice_listen_slots = int(alice_listens.sum())
-            if alice_listen_slots:
-                network.alice.ledger.charge_bulk(EnergyOperation.LISTEN, float(alice_listen_slots))
-
-        # ------------------------------------------------------------------ #
-        # 5. Relay and decoy send costs (exact row sums)                      #
-        # ------------------------------------------------------------------ #
-        if num_r:
-            network.node_ledgers.charge_bulk_many(
-                EnergyOperation.SEND, relays, relay_sends.sum(axis=1)
-            )
-        if num_d:
-            network.node_ledgers.charge_bulk_many(
-                EnergyOperation.SEND, decoys, decoy_sends.sum(axis=1)
-            )
-
-        result = PhaseResult(
-            plan=plan,
-            newly_informed=frozenset(newly_informed),
-            jammed_slots=jammed_slots,
-            adversary_spend=adversary_spend,
-            alice_noisy_heard=alice_noisy,
-            node_noisy_heard=node_noisy,
-            delivery_slots=delivery_slots,
-            busy_slots=busy_slots,
-            alice_send_slots=alice_send_slots,
-            alice_listen_slots=alice_listen_slots,
-            spoofed_transmissions=spoofed_transmissions,
-        )
-        if self.recorder.enabled:
-            self.recorder.record(engine_event("multihop-dense", result, jam_victims=jam_victims))
-        return result
-
-    # ------------------------------------------------------------------ #
-    # Sparse multi-hop (CSR-topology) execution                           #
+    # Multi-hop (CSR-topology) execution                                  #
     # ------------------------------------------------------------------ #
 
     def _run_phase_multihop_sparse(
@@ -564,14 +324,13 @@ class PhaseEngine:
         jam_plan: JamPlan,
         start_slot: int = 0,
     ) -> PhaseResult:
-        """Event-driven execution over a sparse (CSR-backed) topology.
+        """Event-driven execution over a spatial (CSR-backed) topology.
 
-        Instead of materialising ``(devices × slots)`` indicator matrices, the
-        phase is resolved from its transmission *events*: each sampled send is
-        expanded through the sender's CSR neighbourhood slice onto only the
-        currently-active listeners.  See the module docstring for the exact /
-        approximate split; statistical equivalence with the dense multi-hop
-        path is covered by the sparse-topology test suite.
+        The phase is resolved from its transmission *events*: each sampled
+        send is expanded through the sender's CSR neighbourhood slice onto
+        only the currently-active listeners.  See the module docstring for
+        the exact / approximate split; statistical equivalence with the slot
+        engine is covered by the engine-equivalence suite.
         """
 
         network = self.network
@@ -603,42 +362,29 @@ class PhaseEngine:
 
         nack_keys = uninformed[nack_idx] * s + nack_slots
         if decoy_idx.size and nack_keys.size:
-            # Half-duplex, mirroring the dense path: a decoy sender that chose
-            # a nack in the same slot keeps the nack.
+            # Half-duplex, mirroring the slot engine: a decoy sender that
+            # chose a nack in the same slot keeps the nack.
             decoy_device_keys = decoys[decoy_idx] * s + decoy_slots
             keep = ~np.isin(decoy_device_keys, nack_keys)
             decoy_idx, decoy_slots = decoy_idx[keep], decoy_slots[keep]
 
-        # Slots in which each *listener* transmits (it cannot listen there).
-        own_parts = []
-        if nack_idx.size:
-            own_parts.append(u_pos[uninformed[nack_idx]] * s + nack_slots)
-        if decoy_idx.size:
-            decoy_lpos = u_pos[decoys[decoy_idx]]
-            active_decoy = decoy_lpos >= 0
-            own_parts.append(decoy_lpos[active_decoy] * s + decoy_slots[active_decoy])
-        own_keys = (
-            np.unique(np.concatenate(own_parts)) if own_parts else np.empty(0, dtype=np.int64)
-        )
+        def activity() -> np.ndarray:
+            active = np.zeros(s, dtype=bool)
+            for slots in (alice_slots, relay_slots, nack_slots, decoy_slots):
+                active[slots] = True
+            return active
 
         # ------------------------------------------------------------------ #
         # 2. Adversary actions (jamming + spoofed transmissions)             #
         # ------------------------------------------------------------------ #
-        correct_activity = np.zeros(s, dtype=bool)
-        correct_activity[alice_slots] = True
-        correct_activity[relay_slots] = True
-        correct_activity[nack_slots] = True
-        correct_activity[decoy_slots] = True
-
         (
             jam_mask,
             spoof_counts,
             adversary_spend,
             jammed_slots,
             spoofed_transmissions,
-        ) = self._materialize_adversary_actions(jam_plan, s, rng, correct_activity)
+        ) = self._materialize_adversary_actions(jam_plan, s, rng, activity())
         spoof_busy = spoof_counts > 0
-        busy_slots = int(np.count_nonzero(correct_activity | spoof_busy | jam_mask))
 
         jam_affects_listeners = jam_plan.targeting.mode is not JamMode.NONE
         victim = (
@@ -650,91 +396,115 @@ class PhaseEngine:
         # ------------------------------------------------------------------ #
         # 3. CSR neighbourhood expansion of the events                       #
         # ------------------------------------------------------------------ #
-        alice_audible = np.zeros(s, dtype=bool)  # slots in which Alice hears activity
-
-        def expand(sender_rows: np.ndarray, slots: np.ndarray) -> np.ndarray:
-            """Listener-position keys ``pos·s + slot`` of all audible pairs."""
+        def expand(sender_rows: np.ndarray, slots: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+            """Listener-position keys ``pos·s + slot`` of all audible pairs,
+            plus the slots in which Alice hears the senders."""
 
             if sender_rows.size == 0:
-                return np.empty(0, dtype=np.int64)
+                return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
             origins, nbrs = csr.expand(sender_rows)
             pair_slots = slots[origins]
-            alice_audible[pair_slots[nbrs == n]] = True
             pos = u_pos[nbrs]
             active = pos >= 0
-            return pos[active] * s + pair_slots[active]
+            return pos[active] * s + pair_slots[active], pair_slots[nbrs == n]
 
-        payload_parts = [expand(relays[relay_idx], relay_slots)]
+        payload_keys, alice_hears_relays = expand(relays[relay_idx], relay_slots)
         if alice_slots.size:
             alice_nbrs = csr.row(n).astype(np.int64, copy=False)
             pos = u_pos[alice_nbrs]
             pos = pos[pos >= 0]
-            payload_parts.append(
-                (pos[:, None] * s + alice_slots[None, :]).reshape(-1)
+            payload_keys = np.concatenate(
+                [payload_keys, (pos[:, None] * s + alice_slots[None, :]).reshape(-1)]
             )
-        payload_keys = np.concatenate(payload_parts)
-        noise_keys = np.concatenate(
-            [
-                expand(uninformed[nack_idx], nack_slots),
-                expand(decoys[decoy_idx], decoy_slots),
-            ]
-        )
 
         # ------------------------------------------------------------------ #
         # 4. Delivery (payload phases)                                       #
         # ------------------------------------------------------------------ #
-        newly_informed: Set[int] = set()
-        delivery_slots = 0
-        informed_at = np.full(num_u, -1, dtype=np.int64)
-        clean_keys = np.empty(0, dtype=np.int64)
+        # A listener informed in slot t sends no nack or decoy after t, which
+        # can unblock other listeners' deliveries.  Resolving deliveries,
+        # dropping the events after each listener's delivery slot, and
+        # repeating reaches the slot engine's sequential outcome: every pass
+        # fixes at least the earliest slot that still differs, and each
+        # clean candidate keeps its listen draw across passes.
         p_listen = plan.uninformed_listen_prob
-        if plan.carries_payload and num_u and p_listen > 0 and payload_keys.size:
-            cand, payload_count = np.unique(payload_keys, return_counts=True)
-            clean = payload_count == 1
-            if noise_keys.size:
-                clean &= ~np.isin(cand, noise_keys)
-            if own_keys.size:
-                clean &= ~np.isin(cand, own_keys)
-            cand_pos = cand // s
-            cand_slot = cand % s
-            clean &= ~spoof_busy[cand_slot]
-            if jam_affects_listeners:
-                clean &= ~(jam_mask[cand_slot] & victim[cand_pos])
-            clean_keys = cand[clean]
-            cand_pos, cand_slot = cand_pos[clean], cand_slot[clean]
-            heard = rng.random(cand_pos.size) < p_listen
-            heard_pos, heard_slot = cand_pos[heard], cand_slot[heard]
-            if heard_pos.size:
-                # `cand` was sorted by (listener, slot): the first occurrence
-                # of each listener is its earliest heard clean delivery.
-                first_pos, first_index = np.unique(heard_pos, return_index=True)
-                first_slot = heard_slot[first_index]
-                informed_at[first_pos] = first_slot
-                newly_informed = set(int(x) for x in uninformed[first_pos])
-                delivery_slots = int(np.unique(first_slot).size)
+        resolves_delivery = bool(plan.carries_payload and num_u and p_listen > 0)
+        drawn_keys = heard_keys = np.empty(0, dtype=np.int64)
+        while True:
+            nack_noise, alice_hears_nacks = expand(uninformed[nack_idx], nack_slots)
+            decoy_noise, alice_hears_decoys = expand(decoys[decoy_idx], decoy_slots)
+            noise_keys = np.concatenate([nack_noise, decoy_noise])
+            # Slots in which each *listener* transmits (it cannot listen
+            # there); `nack_idx` already is the sender's listener position.
+            decoy_lpos = u_pos[decoys[decoy_idx]]
+            listening_decoy = decoy_lpos >= 0
+            own_keys = np.unique(
+                np.concatenate(
+                    [
+                        nack_idx * s + nack_slots,
+                        decoy_lpos[listening_decoy] * s + decoy_slots[listening_decoy],
+                    ]
+                )
+            )
 
-        informed_mask = informed_at >= 0
-        # Inclusive active window per listener (mirrors the dense path's
-        # `active_until`): a node informed in slot t stops after t.
-        cutoff = np.where(informed_mask, informed_at, s - 1)
+            newly_informed: Set[int] = set()
+            delivery_slots = 0
+            informed_at = np.full(num_u, -1, dtype=np.int64)
+            clean_keys = np.empty(0, dtype=np.int64)
+            if resolves_delivery and payload_keys.size:
+                cand, payload_count = np.unique(payload_keys, return_counts=True)
+                clean = payload_count == 1
+                if noise_keys.size:
+                    clean &= ~np.isin(cand, noise_keys)
+                if own_keys.size:
+                    clean &= ~np.isin(cand, own_keys)
+                cand_pos = cand // s
+                cand_slot = cand % s
+                clean &= ~spoof_busy[cand_slot]
+                if jam_affects_listeners:
+                    clean &= ~(jam_mask[cand_slot] & victim[cand_pos])
+                clean_keys = cand[clean]
+                cand_pos, cand_slot = cand_pos[clean], cand_slot[clean]
+                fresh = ~np.isin(clean_keys, drawn_keys)
+                heard = np.isin(clean_keys, heard_keys)
+                heard[fresh] = rng.random(int(fresh.sum())) < p_listen
+                drawn_keys, heard_keys = clean_keys, clean_keys[heard]
+                heard_pos, heard_slot = cand_pos[heard], cand_slot[heard]
+                if heard_pos.size:
+                    # `cand` was sorted by (listener, slot): the first
+                    # occurrence of each listener is its earliest heard
+                    # clean delivery.
+                    first_pos, first_index = np.unique(heard_pos, return_index=True)
+                    first_slot = heard_slot[first_index]
+                    informed_at[first_pos] = first_slot
+                    newly_informed = set(int(x) for x in uninformed[first_pos])
+                    delivery_slots = int(np.unique(first_slot).size)
+
+            informed_mask = informed_at >= 0
+            # Inclusive active window per listener: a node informed in slot t
+            # stops after t.
+            cutoff = np.where(informed_mask, informed_at, s - 1)
+            nack_live = nack_slots <= cutoff[nack_idx]
+            # Decoys that are not active listeners have no cutoff (and with
+            # no active listeners `cutoff` is empty), so index only the rest.
+            decoy_live = np.ones(decoy_idx.size, dtype=bool)
+            decoy_live[listening_decoy] = (
+                decoy_slots[listening_decoy] <= cutoff[decoy_lpos[listening_decoy]]
+            )
+            if nack_live.all() and decoy_live.all():
+                break
+            nack_idx, nack_slots = nack_idx[nack_live], nack_slots[nack_live]
+            decoy_idx, decoy_slots = decoy_idx[decoy_live], decoy_slots[decoy_live]
+
+        busy_slots = int(np.count_nonzero(activity() | spoof_busy | jam_mask))
 
         # ------------------------------------------------------------------ #
         # 5. Listener costs and request-phase noise counts                   #
         # ------------------------------------------------------------------ #
         node_noisy: Dict[int, int] = {}
         if num_u:
-            nack_cost = np.zeros(num_u, dtype=np.int64)
-            if nack_idx.size:
-                # `nack_idx` already indexes into `uninformed`, i.e. it *is*
-                # the listener position of the sender.
-                in_window = nack_slots <= cutoff[nack_idx]
-                np.add.at(nack_cost, nack_idx[in_window], 1)
-
-            own_sends = np.zeros(num_u, dtype=np.int64)
-            if own_keys.size:
-                own_pos = own_keys // s
-                in_window = (own_keys % s) <= cutoff[own_pos]
-                np.add.at(own_sends, own_pos[in_window], 1)
+            # Every surviving nack and own send lies in its sender's window.
+            nack_cost = np.bincount(nack_idx, minlength=num_u)
+            own_sends = np.bincount(own_keys // s, minlength=num_u)
 
             if p_listen > 0:
                 listenable = np.maximum(cutoff + 1 - own_sends, 0)
@@ -751,9 +521,8 @@ class PhaseEngine:
                 # Exact per-listener noisy-slot counts within each listener's
                 # active window: globally-noisy slots (spoofing, and jamming
                 # for victims) plus the listener's own audible slots, minus
-                # clean deliveries, overlap, and half-duplex exclusions —
-                # mirroring the dense path's
-                # `jam | ((payload + other > 0) & ~clean_delivery)` per slot.
+                # clean deliveries, overlap, and half-duplex exclusions: per
+                # slot, `jam | ((payload + other > 0) & ~clean_delivery)`.
                 global_noisy_victim = spoof_busy | jam_mask
                 victim_cum = np.cumsum(global_noisy_victim)
                 spared_cum = np.cumsum(spoof_busy)
@@ -776,15 +545,11 @@ class PhaseEngine:
                     # A transmitting node cannot hear the slot it sends in.
                     own_pos = own_keys // s
                     own_slot = own_keys % s
-                    in_window = own_slot <= cutoff[own_pos]
-                    own_in, own_pos, own_slot = (
-                        own_keys[in_window], own_pos[in_window], own_slot[in_window]
-                    )
                     own_noisy = np.where(
                         victim[own_pos], global_noisy_victim[own_slot], spoof_busy[own_slot]
                     )
                     if audible_keys.size:
-                        own_noisy |= np.isin(own_in, audible_keys)
+                        own_noisy |= np.isin(own_keys, audible_keys)
                     n_noisy = n_noisy - np.bincount(own_pos[own_noisy], minlength=num_u)
                 heard_noisy = rng.binomial(np.maximum(n_noisy, 0), p_listen)
                 node_noisy = {
@@ -804,7 +569,9 @@ class PhaseEngine:
         alice_noisy = 0
         alice_listen_slots = 0
         if roles.alice_active and plan.alice_listen_prob > 0:
-            noisy_for_alice = alice_audible | spoof_busy
+            noisy_for_alice = spoof_busy.copy()
+            for heard_slots in (alice_hears_relays, alice_hears_nacks, alice_hears_decoys):
+                noisy_for_alice[heard_slots] = True
             if jam_plan.targeting.affects(ALICE_ID):
                 noisy_for_alice = noisy_for_alice | jam_mask
             if alice_send_slots:

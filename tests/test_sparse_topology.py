@@ -1,15 +1,17 @@
-"""Sparse (CSR) topology backend: equivalence, crossover, and engine parity.
+"""The one radio-graph representation: CSR neighbour lists.
 
-The sparse backend must be invisible except for memory and speed:
+Every spatial topology stores its realised graph as a grid-built
+:class:`~repro.simulation.topology.NeighborCSR`.  These tests pin it to a
+few-line, test-local all-pairs distance oracle:
 
-* the CSR neighbourhoods must expand to exactly the boolean ``reach_matrix``
-  for every topology class (the grid construction realises the identical
-  edge set as the dense all-pairs construction);
-* the dense/sparse crossover must pick the CSR backend above
-  ``SPARSE_NODE_THRESHOLD`` devices and honour explicit overrides; and
-* the vectorised engine's event-driven sparse path must be statistically
-  equivalent to the dense indicator-matrix path (same KS/moment harness the
-  fast/slot engine pair uses).
+* the CSR neighbourhoods (and the dense ``adjacency`` debug view) equal the
+  brute-force edge predicate for every topology class;
+* the graph statistics, ``can_hear``, ``any_neighbor_in`` and disk queries
+  agree with the same oracle;
+* the legacy ``TopologySpec.sparse`` field accepts only ``None``/``True``;
+* the event-driven engine path agrees with the slot engine on edge-case
+  multi-hop phases;
+* the engine's Bernoulli event sampler is exact.
 
 All trials are seeded, so every assertion is deterministic.
 """
@@ -19,9 +21,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from equivalence import assert_means_close, assert_same_distribution, column
-
 import repro.simulation.topology as topology_module
+from equivalence import (
+    assert_means_close,
+    assert_same_distribution,
+    column,
+    paired_phase_records,
+)
 from repro.core.api import run_broadcast
 from repro.simulation import (
     ALICE_ID,
@@ -29,7 +35,6 @@ from repro.simulation import (
     JamPlan,
     JamTargeting,
     Network,
-    PhaseEngine,
     PhaseKind,
     PhasePlan,
     PhaseRoles,
@@ -39,32 +44,58 @@ from repro.simulation import (
     SingleHop,
     TopologySpec,
     build_topology,
-    gilbert_connectivity_radius,
 )
 from repro.simulation.errors import ConfigurationError
 from repro.simulation.fastengine import _sample_bernoulli_events
 from repro.simulation.topology import _sample_positions
 
 
-def paired_topologies(kind: str, n: int = 64, seed: int = 0, **kwargs):
-    """The same realised graph under both backends (identical positions)."""
+def reach_matrix(topo) -> np.ndarray:
+    """Test-local all-pairs oracle: who hears whom, over Alice-last rows."""
+
+    if topo.is_single_hop:
+        return ~np.eye(topo.n + 1, dtype=bool)
+    if isinstance(topo, GilbertGraph):
+        link_radius = topo.radius
+    else:
+        link_radius = np.maximum(topo.radii[:, None], topo.radii[None, :])
+    deltas = topo.positions[:, None, :] - topo.positions[None, :, :]
+    reach = (deltas ** 2).sum(axis=-1) <= link_radius ** 2
+    np.fill_diagonal(reach, False)
+    return reach
+
+
+def sample_topology(kind: str, n: int = 64, seed: int = 0, **kwargs):
+    """A Gilbert or scale-free graph realised from seeded positions."""
 
     rng = np.random.default_rng(seed)
     pos = _sample_positions(n, rng, "center")
     if kind == "gilbert":
-        radius = kwargs.get("radius", 0.25)
-        return (
-            GilbertGraph(pos, radius, sparse=False),
-            GilbertGraph(pos, radius, sparse=True),
-        )
+        return GilbertGraph(pos, kwargs.get("radius", 0.25))
     alpha = kwargs.get("alpha", 2.0)
     min_radius = kwargs.get("min_radius", 0.05)
     uniforms = rng.random(n + 1)
     radii = np.minimum(min_radius * uniforms ** (-1.0 / alpha), np.sqrt(2.0))
-    return (
-        ScaleFreeGilbert(pos, radii, alpha, min_radius, sparse=False),
-        ScaleFreeGilbert(pos, radii, alpha, min_radius, sparse=True),
-    )
+    return ScaleFreeGilbert(pos, radii, alpha, min_radius)
+
+
+def oracle_components(reach: np.ndarray, n: int):
+    """Node components of the oracle graph (Alice excluded), by BFS."""
+
+    seen = np.zeros(n, dtype=bool)
+    components = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        component, frontier = {start}, [start]
+        while frontier:
+            nxt = [int(v) for u in frontier for v in np.flatnonzero(reach[u, :n]) if not seen[v]]
+            seen[nxt] = True
+            component.update(nxt)
+            frontier = nxt
+        components.append(frozenset(component))
+    return components
 
 
 ALL_SPECS = [
@@ -75,17 +106,13 @@ ALL_SPECS = [
 
 
 class TestCsrMatchesReachMatrix:
-    """`neighbor_csr()` expands to exactly `reach_matrix()` for every class."""
+    """`neighbor_csr()` expands to exactly the all-pairs reach matrix."""
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
     @pytest.mark.parametrize("seed", [0, 7, 23])
     def test_csr_expands_to_reach_matrix(self, spec, seed):
-        n = 48
-        topo = build_topology(spec, n, RandomSource(seed))
-        # Device order matching the Alice-last row convention.
-        devices = list(range(n)) + [ALICE_ID]
-        expected = topo.reach_matrix(devices, devices)
-        assert np.array_equal(topo.neighbor_csr().to_dense(), expected)
+        topo = build_topology(spec, 48, RandomSource(seed))
+        assert np.array_equal(topo.neighbor_csr().to_dense(), reach_matrix(topo))
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
     def test_per_listener_slices_match(self, spec):
@@ -99,9 +126,9 @@ class TestCsrMatchesReachMatrix:
             assert topo._index(device) not in row  # empty diagonal
 
     def test_csr_is_symmetric_and_cached(self):
-        dense, sparse = paired_topologies("gilbert", n=80, seed=5)
-        csr = sparse.neighbor_csr()
-        assert csr is sparse.neighbor_csr()  # memoised
+        topo = sample_topology("gilbert", n=80, seed=5)
+        csr = topo.neighbor_csr()
+        assert csr is topo.neighbor_csr()  # memoised
         mat = csr.to_dense()
         assert np.array_equal(mat, mat.T)
         assert not mat.diagonal().any()
@@ -109,111 +136,120 @@ class TestCsrMatchesReachMatrix:
 
 
 class TestGridEqualsBruteForce:
-    """The grid cell index realises the identical edge set as all-pairs."""
+    """The grid cell index realises exactly the all-pairs edge set."""
 
     @pytest.mark.parametrize("radius", [0.03, 0.1, 0.25, 0.6, 1.3])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_gilbert(self, radius, seed):
-        dense, sparse = paired_topologies("gilbert", n=150, seed=seed, radius=radius)
-        assert dense.backend == "dense" and sparse.backend == "sparse"
-        assert np.array_equal(dense.adjacency, sparse.adjacency)
+        topo = sample_topology("gilbert", n=150, seed=seed, radius=radius)
+        assert topo.backend == "sparse"
+        assert np.array_equal(topo.adjacency, reach_matrix(topo))
 
     @pytest.mark.parametrize("alpha,min_radius", [(2.5, 0.04), (1.2, 0.05), (0.7, 0.02)])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_scale_free(self, alpha, min_radius, seed):
-        dense, sparse = paired_topologies(
+        topo = sample_topology(
             "scale_free", n=150, seed=seed, alpha=alpha, min_radius=min_radius
         )
-        assert np.array_equal(dense.adjacency, sparse.adjacency)
+        assert np.array_equal(topo.adjacency, reach_matrix(topo))
 
-    def test_statistics_agree_across_backends(self):
-        dense, sparse = paired_topologies("gilbert", n=200, seed=11, radius=0.08)
-        assert np.array_equal(dense.degrees(), sparse.degrees())
-        assert dense.reachable_from_alice() == sparse.reachable_from_alice()
-        assert sorted(map(sorted, dense.connected_components())) == sorted(
-            map(sorted, sparse.connected_components())
+    def test_statistics_match_oracle(self):
+        topo = sample_topology("gilbert", n=200, seed=11, radius=0.08)
+        n, reach = topo.n, reach_matrix(topo)
+        assert np.array_equal(topo.degrees(), reach[:n, :n].sum(axis=1))
+        components = oracle_components(reach, n)
+        assert sorted(map(sorted, topo.connected_components())) == sorted(
+            map(sorted, components)
         )
-        assert dense.largest_component_fraction() == sparse.largest_component_fraction()
+        assert topo.largest_component_fraction() == max(map(len, components)) / n
+        alice_component = set().union(
+            *(c for c in components if any(reach[n, list(c)]))
+        )
+        assert topo.reachable_from_alice() == alice_component
 
     def test_reach_matrix_and_can_hear_on_sparse_backend(self):
-        dense, sparse = paired_topologies("gilbert", n=60, seed=2, radius=0.2)
-        listeners = [ALICE_ID, 0, 7, 31]
-        senders = [-3, 5, 7, ALICE_ID]  # includes a synthetic Byzantine sender
-        expected = dense.reach_matrix(listeners, senders)
-        assert np.array_equal(sparse.reach_matrix(listeners, senders), expected)
-        assert np.array_equal(
-            sparse.reach_matrix_f32(listeners, senders), expected.astype(np.float32)
-        )
-        for u in listeners:
-            for v in senders:
-                assert sparse.can_hear(u, v) == dense.can_hear(u, v)
-
-    def test_reach_matrix_with_duplicate_senders(self):
-        # Regression: repeated sender ids must fill every duplicate column on
-        # the sparse backend, exactly as the dense np.ix_ slice does.
-        dense, sparse = paired_topologies("gilbert", n=60, seed=2, radius=0.2)
-        listeners = [0, 1, 2, ALICE_ID]
-        senders = [5, 5, 7, ALICE_ID, 5, -2, -2]
-        expected = dense.reach_matrix(listeners, senders)
-        assert np.array_equal(sparse.reach_matrix(listeners, senders), expected)
-        assert np.array_equal(expected[:, 0], expected[:, 1])  # duplicates agree
+        topo = sample_topology("gilbert", n=60, seed=2, radius=0.2)
+        reach = reach_matrix(topo)
+        for u in [ALICE_ID, 0, 7, 31]:
+            for v in [5, 7, ALICE_ID]:
+                assert topo.can_hear(u, v) == reach[topo._index(u), topo._index(v)]
+            assert topo.can_hear(u, -3)  # a synthetic Byzantine sender
 
     def test_any_neighbor_in_matches_set_intersection(self):
-        dense, sparse = paired_topologies("scale_free", n=90, seed=4)
+        topo = sample_topology("scale_free", n=90, seed=4)
+        reach = reach_matrix(topo)
         members = set(range(0, 90, 7))
         devices = list(range(0, 90, 3)) + [ALICE_ID]
-        expected = np.array(
-            [bool(dense.node_neighbors(d) & members) for d in devices], dtype=bool
-        )
-        for topo in (dense, sparse):
-            assert np.array_equal(topo.any_neighbor_in(devices, members), expected)
+        expected = [bool(reach[topo._index(d), sorted(members)].any()) for d in devices]
+        assert topo.any_neighbor_in(devices, members).tolist() == expected
         # SingleHop: every other member is a neighbour.
         clique = SingleHop(10)
         got = clique.any_neighbor_in([0, 1, 9], {1})
         assert got.tolist() == [True, False, True]
 
 
-class TestCrossover:
-    """The dense/sparse crossover and its explicit overrides."""
+class TestAnyNeighborIn:
+    """List and ndarray inputs take different code paths but must agree."""
 
-    def test_crossover_picks_sparse_above_threshold(self, monkeypatch):
-        monkeypatch.setattr(topology_module, "SPARSE_NODE_THRESHOLD", 32)
-        rng = np.random.default_rng(0)
-        small = GilbertGraph.sample(20, 0.3, rng)
-        large = GilbertGraph.sample(64, 0.3, rng)
-        assert small.backend == "dense"
-        assert large.backend == "sparse"
-        sf = ScaleFreeGilbert.sample(64, 2.0, 0.05, rng)
-        assert sf.backend == "sparse"
+    N = 40
 
-    def test_real_threshold_value(self):
-        # The unpatched crossover sits at SPARSE_NODE_THRESHOLD devices;
-        # a build just above it must come out sparse without being forced.
-        n = topology_module.SPARSE_NODE_THRESHOLD  # devices = n + 1 > threshold
-        topo = GilbertGraph.sample(n, 0.05, np.random.default_rng(1))
+    @pytest.fixture
+    def topo(self):
+        return sample_topology("gilbert", n=self.N, seed=8, radius=0.25)
+
+    @pytest.mark.parametrize(
+        "devices,members",
+        [
+            ([0, 5, 17, 39], [3, 9, 21]),
+            ([ALICE_ID, 1, 2], [0, 4]),
+            ([3, 8, 30], [ALICE_ID]),
+            ([ALICE_ID], [ALICE_ID, 7]),
+        ],
+        ids=["nodes", "alice-device", "alice-member", "alice-both"],
+    )
+    def test_list_and_array_inputs_agree(self, topo, devices, members):
+        reach = reach_matrix(topo)
+        member_rows = [topo._index(m) for m in members]
+        expected = [bool(reach[topo._index(d), member_rows].any()) for d in devices]
+        for device_ids in (devices, np.array(devices)):
+            for member_ids in (members, np.array(members)):
+                got = topo.any_neighbor_in(device_ids, member_ids)
+                assert got.tolist() == expected
+
+    @pytest.mark.parametrize("bad", [N, N + 5, -2])
+    def test_unknown_ids_raise_on_both_paths(self, topo, bad):
+        for device_ids in ([0, bad], np.array([0, bad])):
+            with pytest.raises(ConfigurationError):
+                topo.any_neighbor_in(device_ids, [1])
+        for member_ids in ([1, bad], np.array([1, bad])):
+            with pytest.raises(ConfigurationError):
+                topo.any_neighbor_in([0], member_ids)
+
+
+class TestOneRepresentation:
+    """Spatial graphs are CSR only; the legacy spec field cannot ask for dense."""
+
+    @pytest.mark.parametrize("kind", ["gilbert", "scale_free"])
+    def test_spatial_topologies_store_csr_only(self, kind):
+        topo = sample_topology(kind, n=300, seed=1)
         assert topo.backend == "sparse"
-        assert topo.memory_bytes() < (n + 1) ** 2  # far below the dense bool matrix
+        assert topo.memory_bytes() == topo.neighbor_csr().memory_bytes()
+        assert topo.memory_bytes() < (topo.n + 1) ** 2  # below a dense bool matrix
 
-    def test_explicit_overrides_win(self):
-        rng = np.random.default_rng(3)
-        forced_sparse = GilbertGraph.sample(24, 0.3, rng, sparse=True)
-        forced_dense = GilbertGraph.sample(24, 0.3, rng, sparse=False)
-        assert forced_sparse.backend == "sparse"
-        assert forced_dense.backend == "dense"
+    @pytest.mark.parametrize("kind", ["gilbert", "scale_free"])
+    def test_spec_sparse_true_still_builds(self, kind):
+        legacy = Network(
+            SimulationConfig(n=40, seed=9, topology=TopologySpec(kind=kind, sparse=True))
+        )
+        default = Network(SimulationConfig(n=40, seed=9, topology=TopologySpec(kind=kind)))
+        assert legacy.topology.backend == "sparse"
+        assert legacy.topology_memory_bytes() == legacy.topology.memory_bytes()
+        assert np.array_equal(legacy.topology.adjacency, default.topology.adjacency)
 
-    def test_spec_sparse_field_threads_through_network(self):
-        config = SimulationConfig(
-            n=40, seed=9, topology=TopologySpec.gilbert(radius=0.3, sparse=True)
-        )
-        network = Network(config)
-        assert network.topology.backend == "sparse"
-        assert network.topology_memory_bytes() == network.topology.memory_bytes()
-        dense_net = Network(
-            SimulationConfig(n=40, seed=9, topology=TopologySpec.gilbert(radius=0.3))
-        )
-        assert dense_net.topology.backend == "dense"
-        # Same seed => identical realised graph regardless of backend.
-        assert np.array_equal(network.topology.adjacency, dense_net.topology.adjacency)
+    @pytest.mark.parametrize("kind", ["gilbert", "scale_free"])
+    def test_spec_sparse_false_raises(self, kind):
+        with pytest.raises(ConfigurationError, match="dense adjacency backend was removed"):
+            TopologySpec(kind=kind, sparse=False)
 
     def test_spec_rejects_non_bool_sparse(self):
         with pytest.raises(ConfigurationError):
@@ -223,6 +259,91 @@ class TestCrossover:
         topo = SingleHop(50)
         assert topo.backend == "implicit"
         assert topo.memory_bytes() == 0
+
+    def test_multihop_run_is_seed_deterministic(self):
+        a, b = (
+            run_broadcast(
+                n=64, seed=42, variant="multihop", topology="gilbert",
+                topology_kwargs={"radius": 0.3},
+            )
+            for _ in range(2)
+        )
+        assert a.delivery.informed == b.delivery.informed
+        assert a.delivery.slots_elapsed == b.delivery.slots_elapsed
+        assert a.mean_node_cost == b.mean_node_cost
+
+
+class TestEnginePathEquivalence:
+    """The event-driven CSR phase path matches the topology-exact slot engine
+    on multi-hop phases the protocol schedules never build but the engine API
+    allows."""
+
+    N = 48
+    CONFIG = {"topology": TopologySpec.gilbert(radius=0.3)}
+
+    def _check(self, plan, roles_builder, jam_builder, keys):
+        records = paired_phase_records(
+            plan, roles_builder, jam_builder, n=self.N, trials=40, config_kwargs=self.CONFIG
+        )
+        for key in keys:
+            slot, fast = column(records["slot"], key), column(records["fast"], key)
+            assert_same_distribution(slot, fast, alpha=0.01, label=key)
+            assert_means_close(slot, fast, rel=0.2, abs_tol=2.0, label=key)
+
+    def test_request_phase_under_targeted_jamming(self):
+        plan = PhasePlan(
+            name="request", kind=PhaseKind.REQUEST, round_index=5, num_slots=192,
+            alice_listen_prob=0.3, uninformed_listen_prob=0.3, nack_send_prob=0.04,
+        )
+        self._check(
+            plan,
+            lambda net: PhaseRoles.of(range(net.n)),
+            lambda: JamPlan(jam_rate=0.3, targeting=JamTargeting.only(range(0, self.N, 2))),
+            ["alice_noisy", "node_noisy_total", "node_total"],
+        )
+
+    def test_request_phase_with_payload_senders(self):
+        # Clean deliveries are not noise, and an informed listener stops
+        # nacking after its delivery slot.
+        plan = PhasePlan(
+            name="request+payload", kind=PhaseKind.REQUEST, round_index=5,
+            num_slots=256, alice_listen_prob=0.3, uninformed_listen_prob=0.3,
+            nack_send_prob=0.03, relay_send_prob=0.02,
+        )
+        half = self.N // 2
+        self._check(
+            plan,
+            lambda net: PhaseRoles.of(range(half, net.n), relays=range(half)),
+            JamPlan.idle,
+            ["informed", "node_noisy_total", "node_total", "alice_noisy", "busy_slots"],
+        )
+
+    def test_inform_phase_with_spoofing_and_decoys(self):
+        # Decoy senders that become informed mid-phase fall silent.
+        plan = PhasePlan(
+            name="inform", kind=PhaseKind.INFORM, round_index=5, num_slots=192,
+            alice_send_prob=0.08, uninformed_listen_prob=0.25, decoy_send_prob=0.02,
+        )
+        self._check(
+            plan,
+            lambda net: PhaseRoles.of(range(net.n), decoy_senders=range(net.n)),
+            lambda: JamPlan(spoof_payload_slots=20, spoof_nack_slots=10),
+            ["informed", "node_total", "busy_slots"],
+        )
+
+    def test_decoys_without_active_listeners(self):
+        # Decoy senders outside the active uninformed set: no listener has a
+        # delivery cutoff, so every decoy stays live for the whole phase.
+        plan = PhasePlan(
+            name="inform", kind=PhaseKind.INFORM, round_index=5, num_slots=128,
+            alice_send_prob=0.08, uninformed_listen_prob=0.25, decoy_send_prob=0.02,
+        )
+        self._check(
+            plan,
+            lambda net: PhaseRoles.of([], decoy_senders=range(net.n)),
+            JamPlan.idle,
+            ["informed", "node_total", "busy_slots"],
+        )
 
 
 class TestBernoulliEventSampler:
@@ -250,190 +371,14 @@ class TestBernoulliEventSampler:
         assert idx.size == 12  # p = 1 fills the grid
 
 
-def paired_backend_phase_records(plan, roles_builder, jam_builder=JamPlan.idle,
-                                 n=48, trials=30, base_seed=500, spec_kwargs=None):
-    """Run one phase through the dense and sparse engine paths across seeds.
-
-    Mirrors ``equivalence.paired_phase_records`` but pairs topology *backends*
-    (same realised graph per seed) instead of engines.
-    """
-
-    records = {"dense": [], "sparse": []}
-    for trial in range(trials):
-        for backend, sparse in (("dense", False), ("sparse", True)):
-            spec = TopologySpec.gilbert(sparse=sparse, **(spec_kwargs or {"radius": 0.3}))
-            config = SimulationConfig(n=n, seed=base_seed + trial, topology=spec)
-            network = Network(config)
-            engine = PhaseEngine(network)
-            result = engine.run_phase(plan, roles_builder(network), jam_builder())
-            records[backend].append(
-                {
-                    "informed": float(len(result.newly_informed)),
-                    "alice_cost": float(network.alice_cost),
-                    "node_total": float(network.node_costs().sum()),
-                    "alice_noisy": float(result.alice_noisy_heard),
-                    "node_noisy_total": float(sum(result.node_noisy_heard.values())),
-                    "delivery_slots": float(result.delivery_slots),
-                    "busy_slots": float(result.busy_slots),
-                }
-            )
-    return records
-
-
-class TestEnginePathEquivalence:
-    """The event-driven sparse path matches the dense indicator-matrix path."""
-
-    N = 48
-
-    def _check(self, records, keys, rel=0.2):
-        for key in keys:
-            a, b = column(records["dense"], key), column(records["sparse"], key)
-            assert_same_distribution(a, b, alpha=0.01, label=key)
-            assert_means_close(a, b, rel=rel, abs_tol=2.0, label=key)
-
-    def test_inform_phase(self):
-        plan = PhasePlan(
-            name="inform", kind=PhaseKind.INFORM, round_index=5, num_slots=256,
-            alice_send_prob=0.05, uninformed_listen_prob=0.2,
-        )
-        records = paired_backend_phase_records(
-            plan, lambda net: PhaseRoles.of(range(net.n)), n=self.N
-        )
-        self._check(records, ["informed", "alice_cost", "node_total", "busy_slots"])
-
-    def test_propagation_phase_with_relays(self):
-        plan = PhasePlan(
-            name="propagation:1", kind=PhaseKind.PROPAGATION, round_index=5,
-            num_slots=256, step=1, relay_send_prob=0.02, uninformed_listen_prob=0.25,
-        )
-        records = paired_backend_phase_records(
-            plan,
-            lambda net: PhaseRoles.of(range(net.n // 2), relays=range(net.n // 2, net.n)),
-            n=self.N,
-        )
-        self._check(records, ["informed", "node_total", "delivery_slots"])
-
-    def test_request_phase_noise_counts(self):
-        plan = PhasePlan(
-            name="request", kind=PhaseKind.REQUEST, round_index=5, num_slots=256,
-            alice_listen_prob=0.3, uninformed_listen_prob=0.3, nack_send_prob=0.05,
-        )
-        records = paired_backend_phase_records(
-            plan, lambda net: PhaseRoles.of(range(net.n)), n=self.N
-        )
-        self._check(
-            records, ["alice_noisy", "node_noisy_total", "node_total", "alice_cost"]
-        )
-
-    def test_request_phase_under_targeted_jamming(self):
-        plan = PhasePlan(
-            name="request", kind=PhaseKind.REQUEST, round_index=5, num_slots=192,
-            alice_listen_prob=0.3, uninformed_listen_prob=0.3, nack_send_prob=0.04,
-        )
-        jam = lambda: JamPlan(
-            jam_rate=0.3, targeting=JamTargeting.only(range(0, self.N, 2))
-        )
-        records = paired_backend_phase_records(
-            plan, lambda net: PhaseRoles.of(range(net.n)), jam_builder=jam, n=self.N
-        )
-        self._check(records, ["alice_noisy", "node_noisy_total", "node_total"])
-
-    def test_request_phase_with_payload_senders(self):
-        # Regression: a request phase that also carries payload (never built
-        # by the protocol schedules, but legal through the engine API) must
-        # exclude clean deliveries from the noisy counts and stop counting at
-        # each listener's informed cutoff, exactly like the dense path.
-        plan = PhasePlan(
-            name="request+payload", kind=PhaseKind.REQUEST, round_index=5,
-            num_slots=256, alice_listen_prob=0.3, uninformed_listen_prob=0.3,
-            nack_send_prob=0.03, relay_send_prob=0.02,
-        )
-        records = paired_backend_phase_records(
-            plan,
-            lambda net: PhaseRoles.of(range(net.n // 2), relays=range(net.n // 2, net.n)),
-            n=self.N,
-        )
-        self._check(
-            records, ["informed", "node_noisy_total", "node_total", "alice_noisy"]
-        )
-
-    def test_inform_phase_with_spoofing_and_decoys(self):
-        plan = PhasePlan(
-            name="inform", kind=PhaseKind.INFORM, round_index=5, num_slots=192,
-            alice_send_prob=0.08, uninformed_listen_prob=0.25, decoy_send_prob=0.02,
-        )
-        jam = lambda: JamPlan(spoof_payload_slots=20, spoof_nack_slots=10)
-        records = paired_backend_phase_records(
-            plan,
-            lambda net: PhaseRoles.of(range(net.n), decoy_senders=range(net.n)),
-            jam_builder=jam,
-            n=self.N,
-        )
-        self._check(records, ["informed", "node_total", "busy_slots"])
-
-
-class TestFullRunEquivalence:
-    """Whole multi-hop executions agree across backends in distribution."""
-
-    def _outcomes(self, sparse, trials=12, **kwargs):
-        outcomes = []
-        for seed in range(trials):
-            outcomes.append(
-                run_broadcast(
-                    n=64,
-                    seed=900 + seed,
-                    variant="multihop",
-                    topology="gilbert",
-                    topology_kwargs={"radius": 0.3, "sparse": sparse},
-                    **kwargs,
-                )
-            )
-        return outcomes
-
-    def test_delivery_and_costs_match(self):
-        dense = self._outcomes(sparse=False)
-        sparse = self._outcomes(sparse=True)
-        assert_same_distribution(
-            [o.delivery.informed for o in dense],
-            [o.delivery.informed for o in sparse],
-            alpha=0.01,
-            label="informed",
-        )
-        assert_means_close(
-            [o.mean_node_cost for o in dense],
-            [o.mean_node_cost for o in sparse],
-            rel=0.3,
-            label="mean_node_cost",
-        )
-        assert_means_close(
-            [o.delivery.slots_elapsed for o in dense],
-            [o.delivery.slots_elapsed for o in sparse],
-            rel=0.3,
-            label="slots_elapsed",
-        )
-
-    def test_sparse_run_is_seed_deterministic(self):
-        a = run_broadcast(
-            n=64, seed=42, variant="multihop", topology="gilbert",
-            topology_kwargs={"radius": 0.3, "sparse": True},
-        )
-        b = run_broadcast(
-            n=64, seed=42, variant="multihop", topology="gilbert",
-            topology_kwargs={"radius": 0.3, "sparse": True},
-        )
-        assert a.delivery.informed == b.delivery.informed
-        assert a.delivery.slots_elapsed == b.delivery.slots_elapsed
-        assert a.mean_node_cost == b.mean_node_cost
-
-
 class TestDiskQueryGrid:
-    """Grid-accelerated nodes_in_disk selects exactly the dense scan's rows.
+    """Grid-accelerated nodes_in_disk selects exactly the all-points scan's rows.
 
-    Mobile jammers query a disk every phase, so above the sparse crossover
-    the query goes through a cached point grid; the distance predicate is the
-    same float arithmetic, so the two paths must agree bit for bit — on every
-    backend, including disks that are empty, huge, or (partly) outside the
-    unit square.
+    Mobile jammers query a disk every phase, so above
+    ``_DISK_GRID_THRESHOLD`` devices the query goes through a cached point
+    grid; the distance predicate is the same float arithmetic, so both paths
+    must agree with the oracle bit for bit — including disks that are empty,
+    huge, or (partly) outside the unit square.
     """
 
     PROBES = [
@@ -446,24 +391,32 @@ class TestDiskQueryGrid:
         ((0.5, 0.5), 0.03),     # smaller than a grid cell
     ]
 
+    @staticmethod
+    def oracle_rows(topo, center, radius):
+        deltas = topo.positions - np.asarray(center, dtype=float)[None, :]
+        return np.flatnonzero((deltas ** 2).sum(axis=1) <= radius ** 2)
+
     @pytest.mark.parametrize("kind", ["gilbert", "scale_free"])
     def test_grid_path_equals_scan_path(self, kind):
-        dense, sparse = paired_topologies(kind, n=300, seed=6)
-        for topo in (dense, sparse):
-            for center, radius in self.PROBES:
-                scan = np.sort(topo._disk_rows_scan(center, radius))
-                grid = np.asarray(topo._disk_rows_grid(center, radius))
-                assert np.array_equal(scan, grid), (kind, topo.backend, center, radius)
-
-    def test_backends_agree_on_disk_queries(self):
-        dense, sparse = paired_topologies("gilbert", n=150, seed=1, radius=0.1)
+        topo = sample_topology(kind, n=300, seed=6)
         for center, radius in self.PROBES:
-            assert dense.nodes_in_disk(center, radius) == sparse.nodes_in_disk(center, radius)
+            expected = self.oracle_rows(topo, center, radius)
+            scan = np.sort(topo._disk_rows_scan(center, radius))
+            grid = np.asarray(topo._disk_rows_grid(center, radius))
+            assert np.array_equal(scan, expected), (kind, center, radius)
+            assert np.array_equal(grid, expected), (kind, center, radius)
+
+    def test_disk_queries_match_oracle(self):
+        topo = sample_topology("gilbert", n=150, seed=1, radius=0.1)
+        for center, radius in self.PROBES:
+            rows = self.oracle_rows(topo, center, radius)
+            expected = frozenset(topo._device_id(int(r)) for r in rows)
+            assert topo.nodes_in_disk(center, radius) == expected
 
     def test_dispatch_by_device_count(self, monkeypatch):
-        dense, _ = paired_topologies("gilbert", n=64, seed=3, radius=0.2)
-        baseline = dense.nodes_in_disk((0.4, 0.4), 0.3)
-        assert dense._disk_grid is None  # small n: the scan path ran
-        monkeypatch.setattr(topology_module, "SPARSE_NODE_THRESHOLD", 16)
-        assert dense.nodes_in_disk((0.4, 0.4), 0.3) == baseline
-        assert dense._disk_grid is not None  # the grid path ran and cached
+        topo = sample_topology("gilbert", n=64, seed=3, radius=0.2)
+        baseline = topo.nodes_in_disk((0.4, 0.4), 0.3)
+        assert topo._disk_grid is None  # small n: the scan path ran
+        monkeypatch.setattr(topology_module, "_DISK_GRID_THRESHOLD", 16)
+        assert topo.nodes_in_disk((0.4, 0.4), 0.3) == baseline
+        assert topo._disk_grid is not None  # the grid path ran and cached

@@ -153,8 +153,8 @@ COMMENTARY = {
         "earliest reliable round, ahead of the relay frontier); a uniform retry cap fixes the "
         "cost but leaves near-threshold delivery short of 1 (it used to destroy it outright; "
         "with pipelined relay rounds far fewer request phases elapse before the frontier "
-        "arrives, so the budget rarely binds — yet the degree-aware rule still dominates it "
-        "on every profile); a "
+        "arrives, so the budget rarely binds and the degree-aware rule now matches it rather "
+        "than beating it); a "
         "plain-degree (hops=1) budget fails both ways because sub- and super-critical degree "
         "distributions overlap; the default degree-aware rule — budgets from the three-hop "
         "neighbourhood size, unlimited patience where the ball clears the Gilbert connectivity "

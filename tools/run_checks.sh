@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the full unit/property/integration suite, the
 # repro-lint determinism gate (plus mypy when installed), a quick-mode
-# benchmark smoke over a representative experiment subset, the mobile-jammer
-# benchmark smoke, and the docs code-snippet smoke (README / docs quickstarts
-# must stay runnable).
+# benchmark smoke over a representative experiment subset, the sparse-topology
+# and mobile-jammer benchmark smokes, and the docs code-snippet smoke
+# (README / docs quickstarts must stay runnable).
 #
 # Usage:
 #   tools/run_checks.sh            # tests + benchmark smoke + docs snippets
@@ -67,6 +67,9 @@ if [[ "${1:-}" != "--no-bench" ]]; then
         python -m pytest benchmarks/bench_delivery.py benchmarks/bench_multihop.py \
         benchmarks/bench_quiet_rule.py \
         --benchmark-only --benchmark-disable-gc -q
+
+    run_step "sparse-topology benchmark smoke (CSR build sweep + 1 GiB footprint gate)" \
+        python benchmarks/bench_sparse_topology.py --quick --engine-n 2000
 
     run_step "mobile-jammer benchmark smoke" python benchmarks/bench_mobile_jammer.py --smoke
 
