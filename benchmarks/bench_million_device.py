@@ -69,9 +69,7 @@ def run(n: int, seed: int, memory_ceiling: float) -> None:
     adjacency_memory = network.topology_memory_bytes()
     dense_would_need = (n + 1) * (n + 1)
 
-    protocol = MultiHopBroadcast(
-        config, engine="fast", network=network, record_events=False
-    )
+    protocol = MultiHopBroadcast(config, engine="fast", network=network)
     budget = cap_slots(protocol)
     run_start = time.perf_counter()
     outcome = protocol.run()

@@ -103,9 +103,7 @@ def engine_run(n: int, seed: int) -> None:
     adjacency_memory = network.topology_memory_bytes()
 
     run_start = time.perf_counter()
-    outcome = MultiHopBroadcast(
-        config, engine="fast", network=network, record_events=False
-    ).run()
+    outcome = MultiHopBroadcast(config, engine="fast", network=network).run()
     run_elapsed = time.perf_counter() - run_start
 
     print(f"backend              : {network.topology.backend}")

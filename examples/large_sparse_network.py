@@ -53,9 +53,7 @@ def main() -> None:
     params = ProtocolParameters.from_config(config).with_(max_round=8)
     print("\nrunning capped multi-hop ε-Broadcast (max_round=8, fast engine) ...")
     start = time.perf_counter()
-    outcome = MultiHopBroadcast(
-        config, params=params, engine="fast", network=network, record_events=False
-    ).run()
+    outcome = MultiHopBroadcast(config, params=params, engine="fast", network=network).run()
     print(f"  {outcome.delivery.slots_elapsed:,} slots in "
           f"{time.perf_counter() - start:.1f}s")
     print(f"  informed so far: {outcome.delivery.informed:,} nodes "

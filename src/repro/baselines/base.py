@@ -127,6 +127,7 @@ class EpochBaseline(abc.ABC):
         log = EventLog()
         terminated_by_cap = True
 
+        ledger = self.network.ledger
         for epoch in range(1, self.max_epoch + 1):
             plan = self.epoch_plan(epoch)
             roles = PhaseRoles(
@@ -138,15 +139,15 @@ class EpochBaseline(abc.ABC):
                 roles=roles,
                 config=self.config,
                 history=log.phases,
-                adversary_remaining_budget=self.network.adversary_ledger.remaining,
+                adversary_remaining_budget=ledger.remaining(ledger.carol),
             )
             # Same per-phase re-resolution hook as the ε-Broadcast family:
             # mobile strategies track time against baselines too.
             self.adversary.observe_phase(context)
             jam_plan = self.adversary.plan_phase(context)
 
-            alice_before = self.network.alice_cost
-            nodes_before = float(self.network.node_costs().sum())
+            alice_before = ledger.spent(ledger.alice)
+            nodes_before = ledger.node_total()
             clock.begin_phase(epoch, plan.name)
             result = self.engine.run_phase(plan, roles, jam_plan, start_slot=clock.now)
             clock.advance(plan.num_slots)
@@ -159,19 +160,14 @@ class EpochBaseline(abc.ABC):
 
             self.adversary.observe_result(context, result)
             log.record_phase(
-                PhaseRecord(
+                PhaseRecord.of(
+                    plan,
+                    result,
                     round_index=epoch,
-                    phase_name=plan.name,
-                    num_slots=plan.num_slots,
                     start_slot=clock.now - plan.num_slots,
-                    jammed_slots=result.jammed_slots,
-                    adversary_spend=result.adversary_spend,
-                    newly_informed=len(result.newly_informed),
-                    alice_cost=self.network.alice_cost - alice_before,
-                    nodes_cost=float(self.network.node_costs().sum()) - nodes_before,
-                    active_uninformed_after=len(state.active_uninformed()),
-                    terminated_after=state.terminated_informed_count()
-                    + state.terminated_uninformed_count(),
+                    status_counts=state.status_counts(),
+                    alice_cost=ledger.spent(ledger.alice) - alice_before,
+                    nodes_cost=ledger.node_total() - nodes_before,
                 )
             )
 

@@ -70,8 +70,6 @@ class EpsilonBroadcast:
     network:
         An existing :class:`~repro.simulation.network.Network` to reuse;
         constructed from ``config`` when omitted.
-    record_events:
-        Keep the phase-level event log on the returned outcome.
     figure:
         Which pseudocode's probabilities to use (1 = Figure 1, 2 = Figure 2).
         Defaults to Figure 1 for ``k = 2`` and Figure 2 otherwise.
@@ -95,7 +93,6 @@ class EpsilonBroadcast:
         params: Optional[ProtocolParameters] = None,
         engine: EngineSpec = "fast",
         network: Optional[Network] = None,
-        record_events: bool = True,
         figure: Optional[int] = None,
         decoy_traffic: bool = False,
         recorder: Optional[TraceRecorder] = None,
@@ -118,7 +115,6 @@ class EpsilonBroadcast:
         # Strategies that depend on the realised topology (e.g. spatial disk
         # jammers) override the bind_network hook; the base default is a no-op.
         self.adversary.bind_network(self.network)
-        self.record_events = record_events
         self.figure = figure if figure is not None else (1 if self.params.k == 2 else 2)
         self.decoy_traffic = decoy_traffic
 
@@ -293,20 +289,21 @@ class EpsilonBroadcast:
         log: EventLog,
         round_index: int,
     ) -> PhaseResult:
+        ledger = self.network.ledger
         context = PhaseContext(
             plan=plan,
             roles=roles,
             config=self.config,
             history=log.phases,
-            adversary_remaining_budget=self.network.adversary_ledger.remaining,
+            adversary_remaining_budget=ledger.remaining(ledger.carol),
         )
         # Per-phase re-resolution hook: mobile/adaptive spatial strategies
         # advance their trajectory and re-resolve victims before planning.
         self.adversary.observe_phase(context)
         jam_plan = self.adversary.plan_phase(context)
 
-        alice_before = self.network.alice_cost
-        nodes_before = float(self.network.node_costs().sum())
+        alice_before = ledger.spent(ledger.alice)
+        nodes_before = ledger.node_total()
 
         clock.begin_phase(round_index, plan.name)
         result = self.engine.run_phase(plan, roles, jam_plan, start_slot=clock.now)
@@ -316,54 +313,23 @@ class EpsilonBroadcast:
         self._apply_result(plan, roles, result, state, round_index, clock)
 
         self.adversary.observe_result(context, result)
-        alice_delta = self.network.alice_cost - alice_before
-        nodes_delta = float(self.network.node_costs().sum()) - nodes_before
-        # Phase records are cheap (one per phase) and outcome assembly relies
-        # on them, so they are always recorded; ``record_events`` only controls
-        # whether the log is attached to the returned outcome.
-        log.record_phase(
-            PhaseRecord(
-                round_index=round_index,
-                phase_name=plan.name,
-                num_slots=plan.num_slots,
-                start_slot=clock.now - plan.num_slots,
-                jammed_slots=result.jammed_slots,
-                adversary_spend=result.adversary_spend,
-                newly_informed=len(result.newly_informed),
-                alice_cost=alice_delta,
-                nodes_cost=nodes_delta,
-                active_uninformed_after=state.active_uninformed_count(),
-                terminated_after=state.terminated_informed_count()
-                + state.terminated_uninformed_count(),
-            )
+        record = PhaseRecord.of(
+            plan,
+            result,
+            round_index=round_index,
+            start_slot=clock.now - plan.num_slots,
+            status_counts=state.status_counts(),
+            alice_cost=ledger.spent(ledger.alice) - alice_before,
+            nodes_cost=ledger.node_total() - nodes_before,
         )
+        log.record_phase(record)
         if self.recorder.enabled:
             self.recorder.record(
                 TraceEvent(
                     kind="phase",
                     round_index=round_index,
                     phase=plan.name,
-                    data={
-                        "kind": plan.kind.value,
-                        "step": plan.step,
-                        "num_slots": plan.num_slots,
-                        "start_slot": clock.now - plan.num_slots,
-                        "newly_informed": len(result.newly_informed),
-                        "informed_total": state.informed_count(),
-                        "frontier": state.active_informed_count(),
-                        "active_uninformed": state.active_uninformed_count(),
-                        "terminated_informed": state.terminated_informed_count(),
-                        "terminated_uninformed": state.terminated_uninformed_count(),
-                        "jammed_slots": result.jammed_slots,
-                        "busy_slots": result.busy_slots,
-                        "delivery_slots": result.delivery_slots,
-                        "spoofed_transmissions": result.spoofed_transmissions,
-                        "adversary_spend": result.adversary_spend,
-                        "alice_cost": alice_delta,
-                        "nodes_cost": nodes_delta,
-                        "alice_noisy_heard": result.alice_noisy_heard,
-                        "request_noisy_total": float(sum(result.node_noisy_heard.values())),
-                    },
+                    data=record.trace_data(),
                 )
             )
         return result
@@ -458,7 +424,7 @@ class EpsilonBroadcast:
             config=self.config,
             delivery=delivery,
             costs=costs,
-            events=log if self.record_events else None,
+            events=log,
             terminated_by_cap=terminated_by_cap,
             extra=extra,
         )
@@ -517,13 +483,6 @@ class MultiHopBroadcast(EpsilonBroadcast):
         in both directions on sparse topologies (early give-up inside Alice's
         component, run-to-the-cap mutual sustain in Alice-less components);
         see :mod:`repro.core.quietrule` for the policy catalogue.
-    max_quiet_retries:
-        Deprecated alias for
-        ``quiet_rule=ConstantQuietRule(retries=max_quiet_retries)`` — the
-        paper's rule plus a uniform budget of that many request phases,
-        bit-identical to the old run-level retry cap.  Cannot be combined
-        with an explicit ``quiet_rule``.  Deprecated: passing it emits a
-        ``DeprecationWarning``.
     pipeline:
         Keep appending propagation steps to a round while the frontier
         advances (see the class docstring).  ``False`` restores the
@@ -537,12 +496,10 @@ class MultiHopBroadcast(EpsilonBroadcast):
         self,
         *args: object,
         quiet_rule: Optional[QuietRule | str] = None,
-        max_quiet_retries: Optional[int] = None,
         pipeline: bool = True,
         **kwargs: object,
     ) -> None:
-        self.quiet_rule = resolve_quiet_rule(quiet_rule, max_quiet_retries)
-        self.max_quiet_retries = max_quiet_retries
+        self.quiet_rule = resolve_quiet_rule(quiet_rule)
         self.pipeline = pipeline
         # Budgets are a pure function of the realised topology (fixed for the
         # orchestrator's lifetime); resolved lazily so single-hop runs — which

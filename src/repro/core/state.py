@@ -17,15 +17,15 @@ slot/round ledgers, so the hot-path queries (`active_uninformed_array`,
 `active_informed_array`, the counts) are numpy mask operations instead of
 dict scans.  The sorted active-id arrays are cached and invalidated by a
 transition counter — repeated reads between transitions return the *same*
-array object, which the relay-retirement hot path relies on.  Dict-shaped
-views (``statuses``, ``informed_at_slot``, ``terminated_at_round``) are kept
-for observers; they are read-only adapters over the arrays.
+array object, which the relay-retirement hot path relies on.  Observers
+read the arrays themselves (``informed_mask()``, ``informed_at_slot``,
+``terminated_at_round``) through read-only views.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import FrozenSet, Iterable, Iterator, Optional, Set, Tuple
+from typing import FrozenSet, Iterable, Optional, Set, Tuple
 
 import numpy as np
 
@@ -65,86 +65,10 @@ _CODE_TO_STATUS = {
 }
 
 
-class _StatusView:
-    """Read-only dict-shaped view over the status-code array."""
-
-    __slots__ = ("_codes",)
-
-    def __init__(self, codes: np.ndarray) -> None:
-        self._codes = codes
-
-    def __getitem__(self, node_id: int) -> NodeStatus:
-        if not 0 <= node_id < self._codes.size:
-            raise KeyError(node_id)
-        return _CODE_TO_STATUS[int(self._codes[node_id])]
-
-    def get(self, node_id: int, default: Optional[NodeStatus] = None) -> Optional[NodeStatus]:
-        if not 0 <= node_id < self._codes.size:
-            return default
-        return _CODE_TO_STATUS[int(self._codes[node_id])]
-
-    def __len__(self) -> int:
-        return self._codes.size
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(self._codes.size))
-
-    def __contains__(self, node_id: object) -> bool:
-        return isinstance(node_id, int) and 0 <= node_id < self._codes.size
-
-    def keys(self) -> Iterator[int]:
-        return iter(range(self._codes.size))
-
-    def values(self) -> Iterator[NodeStatus]:
-        for code in self._codes:
-            yield _CODE_TO_STATUS[int(code)]
-
-    def items(self) -> Iterator[Tuple[int, NodeStatus]]:
-        for node_id, code in enumerate(self._codes):
-            yield node_id, _CODE_TO_STATUS[int(code)]
-
-
-class _LedgerView:
-    """Read-only dict-shaped view over an ``int64`` ledger with ``-1`` = unset."""
-
-    __slots__ = ("_values",)
-
-    def __init__(self, values: np.ndarray) -> None:
-        self._values = values
-
-    def __getitem__(self, node_id: int) -> int:
-        if not 0 <= node_id < self._values.size or self._values[node_id] < 0:
-            raise KeyError(node_id)
-        return int(self._values[node_id])
-
-    def get(self, node_id: int, default: Optional[int] = None) -> Optional[int]:
-        if not 0 <= node_id < self._values.size or self._values[node_id] < 0:
-            return default
-        return int(self._values[node_id])
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(self._values >= 0))
-
-    def __contains__(self, node_id: object) -> bool:
-        return (
-            isinstance(node_id, int)
-            and 0 <= node_id < self._values.size
-            and self._values[node_id] >= 0
-        )
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(np.flatnonzero(self._values >= 0).tolist())
-
-    def keys(self) -> Iterator[int]:
-        return iter(self)
-
-    def values(self) -> Iterator[int]:
-        for node_id in np.flatnonzero(self._values >= 0):
-            yield int(self._values[node_id])
-
-    def items(self) -> Iterator[Tuple[int, int]]:
-        for node_id in np.flatnonzero(self._values >= 0):
-            yield int(node_id), int(self._values[node_id])
+def _read_only(values: np.ndarray) -> np.ndarray:
+    view = values.view()
+    view.setflags(write=False)
+    return view
 
 
 class ProtocolState:
@@ -189,22 +113,21 @@ class ProtocolState:
     # ------------------------------------------------------------------ #
 
     @property
-    def statuses(self) -> _StatusView:
-        """Dict-shaped view ``{node_id: NodeStatus}`` over the code array."""
+    def informed_at_slot(self) -> np.ndarray:
+        """Read-only ``int64`` array: slot node ``i`` received ``m`` (``-1`` = never)."""
 
-        return _StatusView(self._codes)
-
-    @property
-    def informed_at_slot(self) -> _LedgerView:
-        """Dict-shaped view ``{node_id: slot}`` for nodes that received ``m``."""
-
-        return _LedgerView(self._informed_at_slot)
+        return _read_only(self._informed_at_slot)
 
     @property
-    def terminated_at_round(self) -> _LedgerView:
-        """Dict-shaped view ``{node_id: round}`` for terminated nodes."""
+    def terminated_at_round(self) -> np.ndarray:
+        """Read-only ``int64`` array: round node ``i`` terminated (``-1`` = active)."""
 
-        return _LedgerView(self._terminated_at_round)
+        return _read_only(self._terminated_at_round)
+
+    def informed_mask(self) -> np.ndarray:
+        """Boolean array: node ``i`` holds ``m`` (active or terminated)."""
+
+        return (self._codes == _INFORMED) | (self._codes == _TERM_INFORMED)
 
     def status(self, node_id: int) -> NodeStatus:
         return _CODE_TO_STATUS[int(self._codes[node_id])]
@@ -271,15 +194,25 @@ class ProtocolState:
         return int(np.count_nonzero(self._codes == _INFORMED))
 
     def informed_count(self) -> int:
-        return int(
-            np.count_nonzero((self._codes == _INFORMED) | (self._codes == _TERM_INFORMED))
-        )
+        return int(np.count_nonzero(self.informed_mask()))
 
     def terminated_informed_count(self) -> int:
         return int(np.count_nonzero(self._codes == _TERM_INFORMED))
 
     def terminated_uninformed_count(self) -> int:
         return int(np.count_nonzero(self._codes == _TERM_UNINFORMED))
+
+    def status_counts(self) -> Tuple[int, int, int, int]:
+        """``(active uninformed, active informed, terminated informed,
+        terminated uninformed)`` node counts."""
+
+        codes = self._codes
+        return (
+            int(np.count_nonzero(codes == _UNINFORMED)),
+            int(np.count_nonzero(codes == _INFORMED)),
+            int(np.count_nonzero(codes == _TERM_INFORMED)),
+            int(np.count_nonzero(codes == _TERM_UNINFORMED)),
+        )
 
     def all_nodes_terminated(self) -> bool:
         return bool(np.all(self._codes >= _TERM_INFORMED))

@@ -1,8 +1,8 @@
 """The wireless-sensor-network simulation substrate.
 
 This subpackage implements the slotted, single-channel, energy-budgeted
-network model of Gilbert & Young (PODC 2012): devices, the collision/jamming
-channel with n-uniform targeting, energy ledgers, deterministic randomness,
+network model of Gilbert & Young (PODC 2012): the collision/jamming channel
+with n-uniform targeting, the per-party energy ledger, deterministic randomness,
 and two interchangeable phase-execution engines (slot-faithful and
 vectorised).
 """
@@ -11,22 +11,20 @@ from .auth import ALICE_ID, Authenticator
 from .channel import Channel, JamMode, JamTargeting, SlotResolution
 from .clock import PhaseWindow, SlotClock
 from .config import SimulationConfig
-from .energy import BudgetPolicy, EnergyLedger, EnergyOperation, LedgerArray, LedgerView
+from .energy import LedgerArray
 from .engine import SlotEngine
 from .errors import (
     AuthenticationError,
-    BudgetExceededError,
     ConfigurationError,
     ProtocolViolationError,
     ReproError,
     SimulationError,
 )
-from .events import EventLog, PhaseRecord, SlotEvent
+from .events import EventLog, PhaseRecord
 from .fastengine import PhaseEngine
 from .messages import Message, MessageKind, make_decoy, make_nack, make_payload, make_spoof
 from .metrics import CostBreakdown, DeliveryStats, resource_competitive_ratio
 from .network import Network
-from .node import ActionKind, Device, Role, SlotAction
 from .observation import ChannelState, Observation
 from .phaseplan import (
     AdversaryStrategy,
@@ -52,12 +50,9 @@ from .topology import (
 
 __all__ = [
     "ALICE_ID",
-    "ActionKind",
     "AdversaryStrategy",
     "AuthenticationError",
     "Authenticator",
-    "BudgetExceededError",
-    "BudgetPolicy",
     "Channel",
     "ChannelState",
     "clip_probability",
@@ -65,11 +60,7 @@ __all__ = [
     "CostBreakdown",
     "DeliveryStats",
     "derive_seed",
-    "Device",
-    "EnergyLedger",
-    "EnergyOperation",
     "LedgerArray",
-    "LedgerView",
     "EventLog",
     "GilbertGraph",
     "NeighborCSR",
@@ -96,15 +87,12 @@ __all__ = [
     "RandomSource",
     "ReproError",
     "resource_competitive_ratio",
-    "Role",
     "ScaleFreeGilbert",
     "SimulationConfig",
     "SimulationError",
     "SingleHop",
-    "SlotAction",
     "SlotClock",
     "SlotEngine",
-    "SlotEvent",
     "SlotResolution",
     "Topology",
     "TopologySpec",

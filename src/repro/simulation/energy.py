@@ -1,388 +1,182 @@
 """Energy accounting.
 
 Energy is the central resource of the paper: sending, listening, jamming, or
-altering a message each cost one unit, while sleeping is free.  The
-:class:`EnergyLedger` records per-operation expenditure for a device, and can
-optionally *enforce* the budget (used for Carol, whose jamming must stop when
-her budget is exhausted) or merely *record* it (used for correct devices, whose
-budget sufficiency is a theorem we check rather than a constraint we impose).
+altering a message each cost one unit, while sleeping is free.  Every party's
+expenditure is therefore one counter, and a run's whole accounting is one
+array: :class:`LedgerArray` holds a row per party in the Alice-last layout the
+topology uses — correct nodes ``0..n-1``, Alice at row ``n`` — plus Carol's
+aggregate (herself and her Byzantine devices) at row ``n + 1``.
 
-For the ``n`` correct nodes — a homogeneous population charged in bulk every
-phase by the vectorised engine — per-device ``EnergyLedger`` objects are a
-large-``n`` bottleneck: ~``n`` Python-level ``charge_bulk`` calls per phase.
-:class:`LedgerArray` therefore keeps the whole population's accounting in
-numpy arrays and charges any subset in one vector operation
-(:meth:`LedgerArray.charge_bulk_many`); :meth:`LedgerArray.view` hands out
-per-device :class:`LedgerView` objects that satisfy the full
-:class:`EnergyLedger` interface, so everything that inspects or charges one
-node at a time (the slot engine, metrics, tests) is unaffected by the layout.
+Budgets are stored per row, but only Carol's binds: her jamming must stop
+once her aggregate budget is exhausted (the mechanism Lemma 11 relies on),
+so charges to her row are capped.  Every other row merely *records* its
+expenditure — budget sufficiency for correct devices is a theorem we check
+(:meth:`LedgerArray.overdrafts`), not a constraint we impose.
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, field
-from typing import Dict
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import BudgetExceededError, ConfigurationError
+from .errors import ConfigurationError
 
-__all__ = ["EnergyOperation", "EnergyLedger", "BudgetPolicy", "LedgerArray", "LedgerView"]
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
 
-
-class EnergyOperation(enum.Enum):
-    """The unit-cost operations of the paper's cost model."""
-
-    SEND = "send"
-    LISTEN = "listen"
-    JAM = "jam"
-    SPOOF = "spoof"
-
-    @property
-    def unit_cost(self) -> float:
-        """All modelled operations cost exactly one unit (sleeping is free)."""
-
-        return 1.0
-
-
-class BudgetPolicy(enum.Enum):
-    """How a ledger reacts when expenditure would exceed the budget."""
-
-    RECORD = "record"
-    """Record the overdraft but allow it (used for correct devices)."""
-
-    ENFORCE = "enforce"
-    """Refuse the operation by raising :class:`BudgetExceededError`."""
-
-    CAP = "cap"
-    """Silently refuse the operation and report failure to the caller."""
-
-
-@dataclass
-class EnergyLedger:
-    """Per-device energy ledger.
-
-    Parameters
-    ----------
-    owner:
-        Human-readable owner label used in error messages (e.g. ``"node:17"``).
-    budget:
-        The device's energy budget.  ``math.inf`` disables budget pressure.
-    policy:
-        What to do when an operation would push expenditure past the budget.
-    """
-
-    owner: str
-    budget: float
-    policy: BudgetPolicy = BudgetPolicy.RECORD
-    _spent: float = field(default=0.0, init=False)
-    _by_operation: Dict[EnergyOperation, float] = field(default_factory=dict, init=False)
-
-    def __post_init__(self) -> None:
-        if self.budget < 0:
-            raise ConfigurationError(f"budget for {self.owner!r} must be non-negative, got {self.budget}")
-
-    @property
-    def spent(self) -> float:
-        """Total energy spent so far."""
-
-        return self._spent
-
-    @property
-    def remaining(self) -> float:
-        """Budget minus expenditure (never negative under CAP/ENFORCE)."""
-
-        return max(self.budget - self._spent, 0.0)
-
-    @property
-    def exhausted(self) -> bool:
-        """``True`` once the device can no longer afford a unit-cost operation."""
-
-        return self.remaining < 1.0 and not math.isinf(self.budget)
-
-    @property
-    def overdraft(self) -> float:
-        """How far expenditure exceeds the budget (0 when within budget)."""
-
-        return max(self._spent - self.budget, 0.0)
-
-    def spent_on(self, operation: EnergyOperation) -> float:
-        """Energy spent on a particular operation kind."""
-
-        return self._by_operation.get(operation, 0.0)
-
-    def can_afford(self, units: float = 1.0) -> bool:
-        """Whether ``units`` more energy can be spent without exceeding the budget."""
-
-        if math.isinf(self.budget):
-            return True
-        return self._spent + units <= self.budget + 1e-9
-
-    def charge(self, operation: EnergyOperation, units: float = 1.0) -> bool:
-        """Charge ``units`` of ``operation`` to this ledger.
-
-        Returns ``True`` if the expenditure was applied and ``False`` if it was
-        refused (only possible under :attr:`BudgetPolicy.CAP`).  Under
-        :attr:`BudgetPolicy.ENFORCE` an unaffordable charge raises
-        :class:`BudgetExceededError`.
-        """
-
-        if units < 0:
-            raise ConfigurationError(f"cannot charge negative energy ({units}) to {self.owner!r}")
-        if units == 0:
-            return True
-        if not self.can_afford(units):
-            if self.policy is BudgetPolicy.ENFORCE:
-                raise BudgetExceededError(self.owner, self.budget, self._spent + units)
-            if self.policy is BudgetPolicy.CAP:
-                return False
-        self._spent += units
-        self._by_operation[operation] = self._by_operation.get(operation, 0.0) + units
-        return True
-
-    def charge_bulk(self, operation: EnergyOperation, units: float) -> float:
-        """Charge up to ``units`` of ``operation``, capping at the budget.
-
-        Used by the vectorised engine, which knows in aggregate how many slots
-        a device used in a phase.  Returns the number of units actually
-        charged (which is less than ``units`` only under CAP/ENFORCE when the
-        budget binds; ENFORCE still raises if *any* overdraft would occur).
-        """
-
-        if units < 0:
-            raise ConfigurationError(f"cannot charge negative energy ({units}) to {self.owner!r}")
-        if units == 0:
-            return 0.0
-        if not self.can_afford(units):
-            if self.policy is BudgetPolicy.ENFORCE:
-                raise BudgetExceededError(self.owner, self.budget, self._spent + units)
-            if self.policy is BudgetPolicy.CAP:
-                units = self.remaining
-                if units <= 0:
-                    return 0.0
-        self._spent += units
-        self._by_operation[operation] = self._by_operation.get(operation, 0.0) + units
-        return units
-
-    def snapshot(self) -> Dict[str, float]:
-        """A plain-dict summary suitable for metrics and reports."""
-
-        summary = {"spent": self._spent, "budget": self.budget, "overdraft": self.overdraft}
-        for operation in EnergyOperation:
-            summary[operation.value] = self._by_operation.get(operation, 0.0)
-        return summary
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"EnergyLedger(owner={self.owner!r}, spent={self._spent:g}, budget={self.budget:g})"
+__all__ = ["LedgerArray"]
 
 
 class LedgerArray:
-    """Array-backed energy accounting for a homogeneous device population.
-
-    One shared ``budget``/``policy`` pair and one numpy row per device.  The
-    vectorised engine charges whole phase cohorts through
-    :meth:`charge_bulk_many`; per-device access goes through :meth:`view`,
-    which behaves exactly like an :class:`EnergyLedger` for that row.
+    """Energy ledger of every party in one run, one numpy row each.
 
     Parameters
     ----------
-    owner_prefix:
-        Label stem for per-device owners (device ``i`` is ``"{prefix}:{i}"``).
-    count:
-        Number of devices in the population.
-    budget:
-        The shared per-device energy budget.
-    policy:
-        The shared :class:`BudgetPolicy` (correct nodes use ``RECORD``).
+    n:
+        Number of correct nodes (rows ``0..n-1``).
+    node_budget:
+        Budget of each correct node.
+    alice_budget:
+        Alice's budget (row :attr:`alice`).
+    carol_budget:
+        Carol's aggregate budget (row :attr:`carol`, the only capped row).
+        ``math.inf`` disables budget pressure.
+
+    Every send, listen, jam, or spoof slot costs one unit.  The slot engine
+    charges one unit at a time through :meth:`charge`; the vectorised engine
+    charges Alice and Carol through :meth:`charge_bulk` and whole node
+    cohorts through :meth:`charge_many`.
     """
 
     def __init__(
-        self,
-        owner_prefix: str,
-        count: int,
-        budget: float,
-        policy: BudgetPolicy = BudgetPolicy.RECORD,
+        self, n: int, node_budget: float, alice_budget: float, carol_budget: float
     ) -> None:
-        if count < 0:
-            raise ConfigurationError(f"ledger array count must be non-negative, got {count}")
-        if budget < 0:
+        if n < 0:
+            raise ConfigurationError(f"ledger needs a non-negative node count, got {n}")
+        budgets = (("node", node_budget), ("alice", alice_budget), ("carol", carol_budget))
+        for owner, budget in budgets:
+            if budget < 0:
+                raise ConfigurationError(f"budget for {owner!r} must be non-negative, got {budget}")
+        self.n = n
+        self.alice = n
+        self.carol = n + 1
+        self.budgets = np.full(n + 2, float(node_budget))
+        self.budgets[self.alice] = alice_budget
+        self.budgets[self.carol] = carol_budget
+        self._spent = np.zeros(n + 2, dtype=float)
+        # Read-only window on the node rows: totals and per-node costs are
+        # read from it without copying the whole spent array.
+        self.node_spent = self._spent[:n]
+        self.node_spent.setflags(write=False)
+
+    def label(self, row: int) -> str:
+        """Owner label of ``row`` for reports and error messages."""
+
+        if row == self.alice:
+            return "alice"
+        if row == self.carol:
+            return "carol"
+        return f"node:{row}"
+
+    # ------------------------------------------------------------------ #
+    # Queries                                                             #
+    # ------------------------------------------------------------------ #
+
+    def spent(self, row: int) -> float:
+        """Total energy ``row`` has spent so far."""
+
+        return float(self._spent[row])
+
+    def remaining(self, row: int) -> float:
+        """Budget minus expenditure, floored at 0."""
+
+        return max(float(self.budgets[row]) - float(self._spent[row]), 0.0)
+
+    def node_total(self) -> float:
+        """Aggregate expenditure of the correct nodes (no copy)."""
+
+        return float(self.node_spent.sum())
+
+    def overdrafts(self) -> np.ndarray:
+        """Per-row overdraft (zeros when every budget held)."""
+
+        return np.maximum(self._spent - self.budgets, 0.0)
+
+    # ------------------------------------------------------------------ #
+    # Charges                                                             #
+    # ------------------------------------------------------------------ #
+
+    def _affordable(self, row: int, units: float) -> bool:
+        budget = float(self.budgets[row])
+        return math.isinf(budget) or float(self._spent[row]) + units <= budget + 1e-9
+
+    def _check_units(self, row: int, units: float) -> None:
+        if units < 0:
             raise ConfigurationError(
-                f"budget for {owner_prefix!r} must be non-negative, got {budget}"
+                f"cannot charge negative energy ({units}) to {self.label(row)!r}"
             )
-        self.owner_prefix = owner_prefix
-        self.count = count
-        self.budget = float(budget)
-        self.policy = policy
-        self._spent = np.zeros(count, dtype=float)
-        self._by_operation: Dict[EnergyOperation, np.ndarray] = {}
 
-    # ------------------------------------------------------------------ #
-    # Bulk interface (the vectorised engine's hot path)                   #
-    # ------------------------------------------------------------------ #
+    def charge(self, row: int, units: float = 1.0) -> bool:
+        """Charge ``units`` to ``row``.
 
-    def charge_bulk_many(
-        self, operation: EnergyOperation, indices, units
-    ) -> np.ndarray:
-        """Charge ``units[i]`` of ``operation`` to device ``indices[i]``, vectorised.
-
-        The array analogue of calling :meth:`EnergyLedger.charge_bulk` once
-        per device: under ``CAP`` each device's charge is clipped to its own
-        remaining budget, under ``ENFORCE`` any overdraft raises, and under
-        ``RECORD`` (the correct-node policy) the whole call is two fancy-index
-        operations.  ``indices`` must not contain duplicates (phase cohorts
-        never do).  Returns the per-device units actually charged.
+        Returns ``False`` when Carol's row cannot afford the charge (nothing
+        is charged then), ``True`` otherwise.
         """
 
-        indices = np.asarray(indices, dtype=np.int64)
-        units = np.asarray(units, dtype=float)
-        if units.shape != indices.shape:
-            raise ConfigurationError(
-                f"charge_bulk_many needs one unit amount per index: "
-                f"{indices.shape} indices vs {units.shape} units"
-            )
-        if indices.size == 0:
-            return units.copy()
-        if np.any(units < 0):
-            raise ConfigurationError(
-                f"cannot charge negative energy to {self.owner_prefix!r}"
-            )
-        if self.policy is not BudgetPolicy.RECORD and not math.isinf(self.budget):
-            overdraft = self._spent[indices] + units > self.budget + 1e-9
-            if self.policy is BudgetPolicy.ENFORCE and overdraft.any():
-                first = int(indices[np.argmax(overdraft)])
-                raise BudgetExceededError(
-                    f"{self.owner_prefix}:{first}",
-                    self.budget,
-                    float(self._spent[first] + units[np.argmax(overdraft)]),
-                )
-            if self.policy is BudgetPolicy.CAP:
-                units = np.minimum(units, np.maximum(self.budget - self._spent[indices], 0.0))
-        self._spent[indices] += units
-        per_op = self._by_operation.get(operation)
-        if per_op is None:
-            per_op = self._by_operation.setdefault(operation, np.zeros(self.count, dtype=float))
-        per_op[indices] += units
+        self._check_units(row, units)
+        if units == 0:
+            return True
+        if row == self.carol and not self._affordable(row, units):
+            return False
+        self._spent[row] += units
+        return True
+
+    def charge_bulk(self, row: int, units: float) -> float:
+        """Charge up to ``units`` to ``row``; returns the units charged.
+
+        Carol's charge is clipped to her remaining budget, so the return is
+        less than ``units`` only when her budget binds.
+        """
+
+        self._check_units(row, units)
+        if units == 0:
+            return 0.0
+        if row == self.carol and not self._affordable(row, units):
+            units = self.remaining(row)
+            if units <= 0:
+                return 0.0
+        self._spent[row] += units
         return units
 
-    def spent_array(self) -> np.ndarray:
-        """Copy of per-device total expenditure, indexed by device row."""
+    def charge_many(self, rows: "ArrayLike", units: "ArrayLike") -> np.ndarray:
+        """Charge ``units[i]`` to node row ``rows[i]``, vectorised.
 
-        return self._spent.copy()
+        The array analogue of one :meth:`charge_bulk` per node: node rows
+        never cap, so the whole call is one fancy-index addition.  ``rows``
+        must be node rows without duplicates (phase cohorts never repeat a
+        node).  Returns the per-node units charged.
+        """
 
-    def overdraft_array(self) -> np.ndarray:
-        """Per-device overdraft (zeros when every budget held)."""
-
-        return np.maximum(self._spent - self.budget, 0.0)
-
-    def view(self, index: int) -> "LedgerView":
-        """An :class:`EnergyLedger`-compatible handle on one device's row."""
-
-        if not (0 <= index < self.count):
+        row_ids = np.asarray(rows, dtype=np.int64)
+        amounts = np.asarray(units, dtype=float)
+        if amounts.shape != row_ids.shape:
             raise ConfigurationError(
-                f"ledger array {self.owner_prefix!r} has {self.count} rows, asked for {index}"
+                f"charge_many needs one unit amount per row: "
+                f"{row_ids.shape} rows vs {amounts.shape} units"
             )
-        return LedgerView(self, index)
+        if row_ids.size == 0:
+            return amounts.copy()
+        if np.any(amounts < 0):
+            raise ConfigurationError("cannot charge negative energy to node rows")
+        if row_ids.min() < 0 or row_ids.max() >= self.n:
+            raise ConfigurationError(f"charge_many only charges node rows 0..{self.n - 1}")
+        self._spent[row_ids] += amounts
+        return amounts
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"LedgerArray(owner_prefix={self.owner_prefix!r}, count={self.count}, "
-            f"budget={self.budget:g})"
+            f"LedgerArray(n={self.n}, alice={self.spent(self.alice):g}, "
+            f"carol={self.spent(self.carol):g}, nodes={self.node_total():g})"
         )
-
-
-class LedgerView:
-    """One device's slice of a :class:`LedgerArray`.
-
-    Implements the :class:`EnergyLedger` interface (``spent``, ``charge``,
-    ``charge_bulk``, ``snapshot``, ...) against the shared arrays, so code
-    that charges or inspects a single device — the slot engine, metrics,
-    tests — cannot tell the two layouts apart.
-    """
-
-    __slots__ = ("_array", "_index", "owner")
-
-    def __init__(self, array: LedgerArray, index: int) -> None:
-        self._array = array
-        self._index = index
-        self.owner = f"{array.owner_prefix}:{index}"
-
-    @property
-    def budget(self) -> float:
-        return self._array.budget
-
-    @property
-    def policy(self) -> BudgetPolicy:
-        return self._array.policy
-
-    @property
-    def spent(self) -> float:
-        return float(self._array._spent[self._index])
-
-    @property
-    def remaining(self) -> float:
-        return max(self.budget - self.spent, 0.0)
-
-    @property
-    def exhausted(self) -> bool:
-        return self.remaining < 1.0 and not math.isinf(self.budget)
-
-    @property
-    def overdraft(self) -> float:
-        return max(self.spent - self.budget, 0.0)
-
-    def spent_on(self, operation: EnergyOperation) -> float:
-        per_op = self._array._by_operation.get(operation)
-        return float(per_op[self._index]) if per_op is not None else 0.0
-
-    def can_afford(self, units: float = 1.0) -> bool:
-        if math.isinf(self.budget):
-            return True
-        return self.spent + units <= self.budget + 1e-9
-
-    def charge(self, operation: EnergyOperation, units: float = 1.0) -> bool:
-        if units < 0:
-            raise ConfigurationError(f"cannot charge negative energy ({units}) to {self.owner!r}")
-        if units == 0:
-            return True
-        if not self.can_afford(units):
-            if self.policy is BudgetPolicy.ENFORCE:
-                raise BudgetExceededError(self.owner, self.budget, self.spent + units)
-            if self.policy is BudgetPolicy.CAP:
-                return False
-        self._apply(operation, units)
-        return True
-
-    def charge_bulk(self, operation: EnergyOperation, units: float) -> float:
-        if units < 0:
-            raise ConfigurationError(f"cannot charge negative energy ({units}) to {self.owner!r}")
-        if units == 0:
-            return 0.0
-        if not self.can_afford(units):
-            if self.policy is BudgetPolicy.ENFORCE:
-                raise BudgetExceededError(self.owner, self.budget, self.spent + units)
-            if self.policy is BudgetPolicy.CAP:
-                units = self.remaining
-                if units <= 0:
-                    return 0.0
-        self._apply(operation, units)
-        return units
-
-    def _apply(self, operation: EnergyOperation, units: float) -> None:
-        self._array._spent[self._index] += units
-        per_op = self._array._by_operation.get(operation)
-        if per_op is None:
-            per_op = self._array._by_operation.setdefault(
-                operation, np.zeros(self._array.count, dtype=float)
-            )
-        per_op[self._index] += units
-
-    def snapshot(self) -> Dict[str, float]:
-        summary = {"spent": self.spent, "budget": self.budget, "overdraft": self.overdraft}
-        for operation in EnergyOperation:
-            summary[operation.value] = self.spent_on(operation)
-        return summary
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"LedgerView(owner={self.owner!r}, spent={self.spent:g}, budget={self.budget:g})"

@@ -23,7 +23,6 @@ import numpy as np
 
 from .auth import ALICE_ID
 from .channel import JamTargeting
-from .energy import EnergyOperation
 from .errors import SimulationError
 from .jamming import materialize_jam_slots, materialize_spoof_slots
 from .messages import Message, MessageKind, make_decoy, make_nack, make_payload, make_spoof
@@ -44,7 +43,7 @@ class SlotEngine:
     ----------
     network:
         The :class:`~repro.simulation.network.Network` whose devices act and
-        whose ledgers are charged.
+        whose ledger rows are charged.
     """
 
     name = "slot"
@@ -72,7 +71,7 @@ class SlotEngine:
     ) -> PhaseResult:
         """Execute one phase and return its :class:`PhaseResult`.
 
-        Energy ledgers of Alice, the correct nodes, and the adversary are
+        The ledger rows of Alice, the correct nodes, and the adversary are
         charged as a side effect.
         """
 
@@ -131,8 +130,10 @@ class SlotEngine:
         busy_slots = 0
         spoofed_transmissions = 0
 
-        alice_ledger = network.alice.ledger
-        adversary_ledger = network.adversary_ledger
+        # Devices are ledger rows: node i is row i, Alice and Carol have their own.
+        ledger = network.ledger
+        alice_row = ledger.alice
+        carol_row = ledger.carol
 
         for j in range(s):
             transmissions: List[Message] = []
@@ -146,7 +147,7 @@ class SlotEngine:
                     alice_sending = True
                     transmissions.append(payload)
                     senders.add(ALICE_ID)
-                    alice_ledger.charge(EnergyOperation.SEND)
+                    ledger.charge(alice_row)
                     alice_send_slots += 1
 
             # -- Relay transmissions ----------------------------------- #
@@ -159,7 +160,7 @@ class SlotEngine:
                         )
                         senders.add(relay_id)
                         sending_nodes.add(relay_id)
-                        network.nodes[relay_id].ledger.charge(EnergyOperation.SEND)
+                        ledger.charge(relay_id)
 
             # -- Uninformed node actions (nacks + listening) ------------ #
             ordered_uninformed = sorted(active_uninformed)
@@ -171,10 +172,10 @@ class SlotEngine:
                         transmissions.append(make_nack(node_id))
                         senders.add(node_id)
                         sending_nodes.add(node_id)
-                        network.nodes[node_id].ledger.charge(EnergyOperation.SEND)
+                        ledger.charge(node_id)
                     elif plan.uninformed_listen_prob > 0 and coins[idx, 1] < plan.uninformed_listen_prob:
                         listeners.add(node_id)
-                        network.nodes[node_id].ledger.charge(EnergyOperation.LISTEN)
+                        ledger.charge(node_id)
 
             # -- Decoy traffic (§4.1) ----------------------------------- #
             if decoy_senders and plan.decoy_send_prob > 0:
@@ -195,16 +196,16 @@ class SlotEngine:
                             transmissions.append(make_decoy(node_id))
                             senders.add(node_id)
                             sending_nodes.add(node_id)
-                            network.nodes[node_id].ledger.charge(EnergyOperation.SEND)
+                            ledger.charge(node_id)
 
             # -- Byzantine spoofed transmissions ------------------------ #
             if j in spoof_payload_slots:
-                if adversary_ledger.charge(EnergyOperation.SPOOF):
+                if ledger.charge(carol_row):
                     transmissions.append(make_spoof(_BYZANTINE_SENDER_ID, nack=False))
                     adversary_spend += 1.0
                     spoofed_transmissions += 1
             if j in spoof_nack_slots:
-                if adversary_ledger.charge(EnergyOperation.SPOOF):
+                if ledger.charge(carol_row):
                     transmissions.append(make_spoof(_BYZANTINE_SENDER_ID, nack=True))
                     adversary_spend += 1.0
                     spoofed_transmissions += 1
@@ -218,7 +219,7 @@ class SlotEngine:
                 and self._rng_alice.random() < plan.alice_listen_prob
             ):
                 alice_listening = True
-                alice_ledger.charge(EnergyOperation.LISTEN)
+                ledger.charge(alice_row)
                 alice_listen_slots += 1
                 listeners_with_alice = listeners | {ALICE_ID}
             else:
@@ -235,7 +236,7 @@ class SlotEngine:
 
             targeting = JamTargeting.none()
             if jam_this_slot:
-                if adversary_ledger.charge(EnergyOperation.JAM):
+                if ledger.charge(carol_row):
                     targeting = jam_plan.targeting
                     adversary_spend += 1.0
                     jammed_slots += 1

@@ -3,7 +3,10 @@
 Every error raised by :mod:`repro` derives from :class:`ReproError` so that
 callers embedding the library can catch library failures with a single
 ``except`` clause while still distinguishing configuration mistakes from
-runtime protocol violations.
+runtime protocol violations.  Budget overdrafts are not errors: Carol's
+capped row in :class:`repro.simulation.energy.LedgerArray` refuses what she
+cannot afford, and correct devices' overdrafts are recorded and reported by
+``Network.budget_overruns``.
 """
 
 from __future__ import annotations
@@ -20,25 +23,6 @@ class ConfigurationError(ReproError):
     parameters are inconsistent: non-positive network sizes, probabilities
     outside ``[0, 1]``, budgets that cannot cover a single slot, and so on.
     """
-
-
-class BudgetExceededError(ReproError):
-    """A device attempted to spend energy beyond its budget.
-
-    The paper's model gives every participant a hard energy budget; the
-    :class:`repro.simulation.energy.EnergyLedger` enforces it.  Correct
-    protocol executions should never trigger this error — seeing it in a test
-    indicates either a protocol bug or deliberately mis-sized budgets.
-    """
-
-    def __init__(self, owner: str, budget: float, attempted: float) -> None:
-        self.owner = owner
-        self.budget = budget
-        self.attempted = attempted
-        super().__init__(
-            f"device {owner!r} attempted to spend {attempted:g} energy units "
-            f"but its budget is {budget:g}"
-        )
 
 
 class ProtocolViolationError(ReproError):

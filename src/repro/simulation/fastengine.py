@@ -66,7 +66,6 @@ import numpy as np
 
 from .auth import ALICE_ID
 from .channel import JamMode
-from .energy import EnergyOperation
 from .jamming import materialize_jam_slots, materialize_spoof_slots
 from .network import Network
 from .phaseplan import JamPlan, PhaseKind, PhasePlan, PhaseResult, PhaseRoles
@@ -135,6 +134,7 @@ class PhaseEngine:
         """Execute one phase in bulk and return its :class:`PhaseResult`."""
 
         network = self.network
+        ledger = network.ledger
         rng = self._rng
         s = plan.num_slots
         if s == 0:
@@ -222,7 +222,7 @@ class PhaseEngine:
         # ------------------------------------------------------------------ #
         alice_send_slots = int(np.count_nonzero(alice_sends))
         if alice_send_slots:
-            network.alice.ledger.charge_bulk(EnergyOperation.SEND, float(alice_send_slots))
+            ledger.charge_bulk(ledger.alice, float(alice_send_slots))
 
         # Noisy-for-a-listener slots: any transmission, or jamming that hits it.
         noisy_any_tx = total_tx > 0
@@ -239,7 +239,7 @@ class PhaseEngine:
             alice_quiet_listens = int(rng.binomial(max(quiet_for_alice, 0), plan.alice_listen_prob))
             alice_listen_slots = alice_noisy + alice_quiet_listens
             if alice_listen_slots:
-                network.alice.ledger.charge_bulk(EnergyOperation.LISTEN, float(alice_listen_slots))
+                ledger.charge_bulk(ledger.alice, float(alice_listen_slots))
 
         node_noisy: Dict[int, int] = {}
         jam_victims = 0
@@ -270,11 +270,8 @@ class PhaseEngine:
                 else np.zeros(uninformed.size, dtype=np.int64)
             )
 
-            # One vector charge per operation over the whole cohort: the
-            # array-backed ledger replaces the former ~n-per-phase Python
-            # loop of per-node charge_bulk calls.
-            network.node_ledgers.charge_bulk_many(EnergyOperation.LISTEN, uninformed, listen_cost)
-            network.node_ledgers.charge_bulk_many(EnergyOperation.SEND, uninformed, nack_cost)
+            # Listening and nack sends: one vector charge over the cohort.
+            ledger.charge_many(uninformed, listen_cost + nack_cost)
             if plan.kind is PhaseKind.REQUEST:
                 node_noisy = {
                     int(node_id): int(heard[idx]) for idx, node_id in enumerate(uninformed)
@@ -282,11 +279,11 @@ class PhaseEngine:
 
         if relays.size and plan.relay_send_prob > 0:
             relay_cost = rng.binomial(s, plan.relay_send_prob, size=relays.size)
-            network.node_ledgers.charge_bulk_many(EnergyOperation.SEND, relays, relay_cost)
+            ledger.charge_many(relays, relay_cost)
 
         if decoys.size and plan.decoy_send_prob > 0:
             decoy_cost = rng.binomial(s, plan.decoy_send_prob, size=decoys.size)
-            network.node_ledgers.charge_bulk_many(EnergyOperation.SEND, decoys, decoy_cost)
+            ledger.charge_many(decoys, decoy_cost)
 
         result = PhaseResult(
             plan=plan,
@@ -334,6 +331,7 @@ class PhaseEngine:
         """
 
         network = self.network
+        ledger = network.ledger
         topology = network.topology
         rng = self._rng
         s = plan.num_slots
@@ -556,15 +554,14 @@ class PhaseEngine:
                     int(uninformed[i]): int(heard_noisy[i]) for i in range(num_u)
                 }
 
-            network.node_ledgers.charge_bulk_many(EnergyOperation.LISTEN, uninformed, listen_cost)
-            network.node_ledgers.charge_bulk_many(EnergyOperation.SEND, uninformed, nack_cost)
+            ledger.charge_many(uninformed, listen_cost + nack_cost)
 
         # ------------------------------------------------------------------ #
         # 6. Alice                                                           #
         # ------------------------------------------------------------------ #
         alice_send_slots = int(alice_slots.size)
         if alice_send_slots:
-            network.alice.ledger.charge_bulk(EnergyOperation.SEND, float(alice_send_slots))
+            ledger.charge_bulk(ledger.alice, float(alice_send_slots))
 
         alice_noisy = 0
         alice_listen_slots = 0
@@ -583,19 +580,15 @@ class PhaseEngine:
                 rng.binomial(max(n_quiet_alice, 0), plan.alice_listen_prob)
             )
             if alice_listen_slots:
-                network.alice.ledger.charge_bulk(EnergyOperation.LISTEN, float(alice_listen_slots))
+                ledger.charge_bulk(ledger.alice, float(alice_listen_slots))
 
         # ------------------------------------------------------------------ #
         # 7. Relay and decoy send costs (exact event counts)                 #
         # ------------------------------------------------------------------ #
         if relay_idx.size:
-            network.node_ledgers.charge_bulk_many(
-                EnergyOperation.SEND, relays, np.bincount(relay_idx, minlength=num_r)
-            )
+            ledger.charge_many(relays, np.bincount(relay_idx, minlength=num_r))
         if decoy_idx.size:
-            network.node_ledgers.charge_bulk_many(
-                EnergyOperation.SEND, decoys, np.bincount(decoy_idx, minlength=num_d)
-            )
+            ledger.charge_many(decoys, np.bincount(decoy_idx, minlength=num_d))
 
         result = PhaseResult(
             plan=plan,
@@ -636,11 +629,12 @@ class PhaseEngine:
         spoofed_transmissions)``.
         """
 
-        adversary_ledger = self.network.adversary_ledger
+        ledger = self.network.ledger
+        carol = ledger.carol
         jam_offsets = materialize_jam_slots(jam_plan, s, rng, activity_mask=correct_activity)
-        affordable_jams = int(min(len(jam_offsets), np.floor(adversary_ledger.remaining)))
+        affordable_jams = int(min(len(jam_offsets), np.floor(ledger.remaining(carol))))
         jam_offsets = jam_offsets[:affordable_jams]
-        jam_spend = adversary_ledger.charge_bulk(EnergyOperation.JAM, float(len(jam_offsets)))
+        jam_spend = ledger.charge_bulk(carol, float(len(jam_offsets)))
         jam_offsets = jam_offsets[: int(jam_spend)]
         jam_mask = np.zeros(s, dtype=bool)
         jam_mask[jam_offsets] = True
@@ -654,9 +648,7 @@ class PhaseEngine:
             rng,
             exclude=jam_offsets.tolist() + spoof_payload.tolist(),
         )
-        spoof_budget = adversary_ledger.charge_bulk(
-            EnergyOperation.SPOOF, float(len(spoof_payload) + len(spoof_nack))
-        )
+        spoof_budget = ledger.charge_bulk(carol, float(len(spoof_payload) + len(spoof_nack)))
         total_spoofs = int(spoof_budget)
         keep_payload = min(len(spoof_payload), total_spoofs)
         keep_nack = min(len(spoof_nack), total_spoofs - keep_payload)

@@ -1,23 +1,23 @@
 """The network container.
 
 :class:`Network` instantiates the whole cast of the Alice-versus-Carol game
-from a :class:`~repro.simulation.config.SimulationConfig`: Alice, the ``n``
-correct nodes, the (aggregate) adversary ledger for Carol plus her Byzantine
-devices, the shared channel, the authenticator, and the root random source.
+from a :class:`~repro.simulation.config.SimulationConfig`: one energy ledger
+with a row for each correct node, Alice, and Carol's aggregate side, the
+shared channel, the authenticator, and the root random source.  Devices are
+row indices, not objects.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict
 
 import numpy as np
 
-from .auth import ALICE_ID, Authenticator
+from .auth import Authenticator
 from .channel import Channel
 from .config import SimulationConfig
-from .energy import BudgetPolicy, EnergyLedger, LedgerArray
+from .energy import LedgerArray
 from .errors import ConfigurationError
-from .node import Device, Role
 from .rng import RandomSource
 from .topology import Topology, build_topology
 
@@ -33,10 +33,6 @@ class Network:
         The model parameters.
     seed:
         Optional seed override; defaults to ``config.seed``.
-    enforce_adversary_budget:
-        When ``True`` (default) the adversary ledger uses the ``CAP`` policy,
-        so Carol physically cannot jam once her aggregate budget is exhausted
-        — exactly the mechanism Lemma 11 relies on.
     topology:
         Optional pre-built :class:`~repro.simulation.topology.Topology`.
         When omitted, the topology is realised from ``config.topology``
@@ -44,13 +40,17 @@ class Network:
         random source, so runs stay a pure function of the seed.  Spatial
         graphs are held as a CSR neighbour list;
         :meth:`topology_memory_bytes` reports its footprint.
+
+    Energy lives in :attr:`ledger`, a :class:`~repro.simulation.energy.LedgerArray`
+    whose rows follow the topology's Alice-last layout: node ``i`` is row
+    ``i``, Alice is row ``n`` and Carol's aggregate is row ``n + 1`` — the
+    only row whose budget binds.
     """
 
     def __init__(
         self,
         config: SimulationConfig,
         seed: int | None = None,
-        enforce_adversary_budget: bool = True,
         topology: Topology | None = None,
     ) -> None:
         self.config = config
@@ -67,49 +67,18 @@ class Network:
         self.authenticator = Authenticator()
         self.message_payload = "m"
         self.message_signature = self.authenticator.sign(self.message_payload)
-
-        self.alice = Device.alice(budget=config.alice_budget)
-        # The n correct nodes are a homogeneous population charged in bulk by
-        # the vectorised engine every phase: their accounting lives in one
-        # array-backed ledger, and each Device holds a per-row view that
-        # satisfies the full EnergyLedger interface.
-        self.node_ledgers = LedgerArray(
-            "node", config.n, config.node_budget, policy=BudgetPolicy.RECORD
+        self.ledger = LedgerArray(
+            config.n,
+            node_budget=config.node_budget,
+            alice_budget=config.alice_budget,
+            carol_budget=config.adversary_total_budget,
         )
-        self.nodes: List[Device] = [
-            Device(device_id=i, role=Role.CORRECT, ledger=self.node_ledgers.view(i))
-            for i in range(config.n)
-        ]
-        adversary_policy = BudgetPolicy.CAP if enforce_adversary_budget else BudgetPolicy.RECORD
-        self.adversary_ledger = EnergyLedger(
-            owner="carol",
-            budget=config.adversary_total_budget,
-            policy=adversary_policy,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Lookup helpers                                                      #
-    # ------------------------------------------------------------------ #
 
     @property
     def n(self) -> int:
         """Number of correct nodes."""
 
         return self.config.n
-
-    def device(self, device_id: int) -> Device:
-        """Return the device with the given id (Alice is ``-1``)."""
-
-        if device_id == ALICE_ID:
-            return self.alice
-        if 0 <= device_id < len(self.nodes):
-            return self.nodes[device_id]
-        raise ConfigurationError(f"unknown device id {device_id}")
-
-    def node_ids(self) -> Sequence[int]:
-        """All correct node ids, in order."""
-
-        return range(self.config.n)
 
     def topology_memory_bytes(self) -> int:
         """Bytes held by the realised radio-graph adjacency.
@@ -127,36 +96,21 @@ class Network:
 
     @property
     def alice_cost(self) -> float:
-        return self.alice.ledger.spent
+        return self.ledger.spent(self.ledger.alice)
 
     @property
     def adversary_cost(self) -> float:
-        return self.adversary_ledger.spent
+        return self.ledger.spent(self.ledger.carol)
 
     def node_costs(self) -> np.ndarray:
-        """Vector of per-node energy expenditure (index = node id)."""
+        """Copy of the per-node energy expenditure (index = node id)."""
 
-        return self.node_ledgers.spent_array()
-
-    def max_node_cost(self) -> float:
-        if not self.nodes:
-            return 0.0
-        return float(self.node_ledgers.spent_array().max())
-
-    def mean_node_cost(self) -> float:
-        if not self.nodes:
-            return 0.0
-        return float(np.mean(self.node_costs()))
-
-    def total_correct_cost(self) -> float:
-        """Aggregate cost of Alice plus every correct node."""
-
-        return self.alice_cost + float(self.node_costs().sum())
+        return self.ledger.node_spent.copy()
 
     def cost_snapshot(self) -> Dict[str, float]:
         """A flat summary used by outcomes, metrics, and reports."""
 
-        costs = self.node_costs()
+        costs = self.ledger.node_spent
         return {
             "alice": self.alice_cost,
             "adversary": self.adversary_cost,
@@ -166,17 +120,13 @@ class Network:
         }
 
     def budget_overruns(self) -> Dict[str, float]:
-        """Per-participant budget overdrafts (empty when all budgets held)."""
+        """Per-party budget overdrafts by ledger label (empty when all budgets held)."""
 
-        overruns: Dict[str, float] = {}
-        if self.alice.ledger.overdraft > 0:
-            overruns["alice"] = self.alice.ledger.overdraft
-        node_overdrafts = self.node_ledgers.overdraft_array()
-        for node_id in np.flatnonzero(node_overdrafts > 0):
-            overruns[self.nodes[int(node_id)].label] = float(node_overdrafts[node_id])
-        if self.adversary_ledger.overdraft > 0:
-            overruns["carol"] = self.adversary_ledger.overdraft
-        return overruns
+        overdrafts = self.ledger.overdrafts()
+        return {
+            self.ledger.label(int(row)): float(overdrafts[row])
+            for row in np.flatnonzero(overdrafts > 0)
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Network({self.config.describe()})"

@@ -264,13 +264,15 @@ class PhaseContext:
     the past" and knows the protocol and its parameters, but not the outcome
     of coin flips in the current slot.  The context therefore exposes the
     upcoming plan, the identities of active/informed nodes, and the full phase
-    history — but nothing about future randomness.
+    history — but nothing about future randomness.  ``history`` is the run's
+    own record list (not a copy), so it is read-only to the adversary and
+    gains the upcoming phase's record once that phase has been observed.
     """
 
     plan: PhasePlan
     roles: PhaseRoles
     config: SimulationConfig
-    history: Tuple[PhaseRecord, ...] = ()
+    history: Sequence[PhaseRecord] = ()
     adversary_remaining_budget: float = float("inf")
 
     @property

@@ -26,6 +26,7 @@ class TestProtocolState:
         assert state.status(1) is NodeStatus.INFORMED
         assert state.active_informed() == frozenset({1, 3})
         assert state.informed_at_slot[1] == 10
+        assert state.informed_at_slot[0] == -1
 
     def test_duplicate_inform_is_harmless(self):
         state = ProtocolState(5)

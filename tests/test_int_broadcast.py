@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import EpsilonBroadcast, SimulationConfig, run_broadcast
@@ -13,7 +14,7 @@ from repro.adversary import (
     RequestSpoofingAdversary,
 )
 from repro.core import ProtocolParameters
-from repro.simulation import PhaseKind
+from repro.simulation import ConfigurationError, Network, PhaseKind
 
 
 class TestNoAdversaryRuns:
@@ -162,13 +163,28 @@ class TestOrchestratorConfiguration:
         assert outcome.delivery.all_terminated
 
     def test_budget_overruns_reported_for_correct_devices(self):
-        # Correct devices use RECORD ledgers: they may exceed their nominal
-        # budgets at simulation scale, and the network reports it rather than
-        # halting the run.
-        config = SimulationConfig(n=64, seed=2, budget_constant=1.0)
+        # Correct devices' ledger rows only record: they may exceed their
+        # nominal budgets at simulation scale, and the network reports it
+        # (under the ledger's own row label) rather than halting the run.
+        config = SimulationConfig(n=64, seed=2, budget_constant=0.05)
         protocol = EpsilonBroadcast(config, adversary=ContinuousJammer())
         protocol.run()
-        assert isinstance(protocol.network.budget_overruns(), dict)
+        network = protocol.network
+        costs = network.node_costs()
+        over = np.flatnonzero(costs > config.node_budget)
+        assert over.size > 0
+        expected = {f"node:{i}": pytest.approx(costs[i] - config.node_budget) for i in over}
+        if network.alice_cost > config.alice_budget:
+            expected["alice"] = pytest.approx(network.alice_cost - config.alice_budget)
+        assert network.budget_overruns() == expected
+
+        # A forced overdraft on a fresh network: one key, the exact amount,
+        # and the same label the ledger's own errors use.
+        fresh = Network(config)
+        fresh.ledger.charge_bulk(5, config.node_budget + 3.0)
+        assert fresh.budget_overruns() == {"node:5": pytest.approx(3.0)}
+        with pytest.raises(ConfigurationError, match="'node:5'"):
+            fresh.ledger.charge(5, -1.0)
 
     def test_phase_records_track_adversary_spend(self):
         adversary = PhaseBlockingAdversary(max_total_spend=10_000)

@@ -11,14 +11,11 @@ The sub-threshold E11 stall fix has two halves, each pinned here:
   has delivered or provably stalled instead of running to the round cap.
 
 Also pinned alongside (same PR): pipelined-vs-sequential statistical
-equivalence on Gilbert and scale-free graphs, the ``max_quiet_retries``
-deprecation warning, and the no-allocation contract of the cached
-active-id arrays the hot path now runs on.
+equivalence on Gilbert and scale-free graphs, and the no-allocation contract
+of the cached active-id arrays the hot path now runs on.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +24,6 @@ from equivalence import assert_means_close, assert_same_distribution
 
 from repro import run_broadcast
 from repro.core.broadcast import MultiHopBroadcast
-from repro.core.quietrule import ConstantQuietRule, resolve_quiet_rule
 from repro.core.state import ProtocolState
 from repro.simulation import SimulationConfig, TopologySpec
 
@@ -184,31 +180,6 @@ class TestPipelinedEquivalence:
             pipe_slots.append(pipe.delivery.slots_elapsed)
             seq_slots.append(seq.delivery.slots_elapsed)
         assert np.mean(pipe_slots) < np.mean(seq_slots)
-
-
-# --------------------------------------------------------------------------- #
-# max_quiet_retries deprecation                                               #
-# --------------------------------------------------------------------------- #
-
-
-class TestMaxQuietRetriesDeprecation:
-    def test_resolve_quiet_rule_warns(self):
-        with pytest.warns(DeprecationWarning, match="max_quiet_retries is deprecated"):
-            rule = resolve_quiet_rule(None, 3)
-        assert rule == ConstantQuietRule(retries=3)
-
-    def test_orchestrator_keyword_warns(self):
-        config = SimulationConfig(n=16, seed=1, topology=TopologySpec.gilbert(radius=0.3))
-        with pytest.warns(DeprecationWarning, match="max_quiet_retries"):
-            protocol = MultiHopBroadcast(config, max_quiet_retries=2)
-        assert protocol.quiet_rule == ConstantQuietRule(retries=2)
-
-    def test_modern_spelling_is_silent(self):
-        config = SimulationConfig(n=16, seed=1, topology=TopologySpec.gilbert(radius=0.3))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            MultiHopBroadcast(config, quiet_rule=ConstantQuietRule(retries=2))
-            resolve_quiet_rule("degree-aware", None)
 
 
 # --------------------------------------------------------------------------- #

@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 
 from repro.simulation import (
     Channel,
-    EnergyLedger,
-    EnergyOperation,
-    BudgetPolicy,
+    LedgerArray,
     JamPlan,
     JamTargeting,
     RandomSource,
@@ -32,20 +30,19 @@ class TestEnergyLedgerProperties:
     )
     @settings(max_examples=60, deadline=None)
     def test_cap_policy_never_exceeds_budget(self, charges, budget):
-        ledger = EnergyLedger(owner="x", budget=budget, policy=BudgetPolicy.CAP)
+        ledger = LedgerArray(2, node_budget=1.0, alice_budget=1.0, carol_budget=budget)
         for units in charges:
-            ledger.charge_bulk(EnergyOperation.JAM, units)
-        assert ledger.spent <= budget + 1e-9
-        assert ledger.remaining >= -1e-9
+            ledger.charge_bulk(ledger.carol, units)
+        assert ledger.spent(ledger.carol) <= budget + 1e-9
+        assert ledger.remaining(ledger.carol) >= -1e-9
 
     @given(charges=st.lists(st.floats(min_value=0, max_value=50, allow_nan=False), max_size=30))
     @settings(max_examples=60, deadline=None)
     def test_record_policy_spent_equals_sum(self, charges):
-        ledger = EnergyLedger(owner="x", budget=10, policy=BudgetPolicy.RECORD)
+        ledger = LedgerArray(2, node_budget=10, alice_budget=10, carol_budget=10)
         for units in charges:
-            ledger.charge_bulk(EnergyOperation.LISTEN, units)
-        assert ledger.spent == pytest.approx(math.fsum(charges))
-        assert ledger.spent_on(EnergyOperation.LISTEN) == pytest.approx(math.fsum(charges))
+            ledger.charge_bulk(1, units)
+        assert ledger.spent(1) == pytest.approx(math.fsum(charges))
 
 
 class TestChannelProperties:

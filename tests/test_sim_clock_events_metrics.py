@@ -12,7 +12,6 @@ from repro.simulation import (
     PhaseRecord,
     SimulationError,
     SlotClock,
-    SlotEvent,
     resource_competitive_ratio,
 )
 
@@ -21,15 +20,25 @@ def make_record(round_index=1, name="inform", slots=8, jammed=2, informed=3):
     return PhaseRecord(
         round_index=round_index,
         phase_name=name,
+        kind=name,
+        step=0,
         num_slots=slots,
         start_slot=0,
-        jammed_slots=jammed,
-        adversary_spend=float(jammed),
         newly_informed=informed,
+        informed_total=informed,
+        frontier=informed,
+        active_uninformed=10,
+        terminated_informed=0,
+        terminated_uninformed=0,
+        jammed_slots=jammed,
+        busy_slots=slots,
+        delivery_slots=1,
+        spoofed_transmissions=0,
+        adversary_spend=float(jammed),
         alice_cost=1.0,
         nodes_cost=4.0,
-        active_uninformed_after=10,
-        terminated_after=0,
+        alice_noisy_heard=0,
+        request_noisy_total=0.0,
     )
 
 
@@ -83,28 +92,24 @@ class TestEventLog:
         log.record_phase(make_record(round_index=1, name="inform"))
         log.record_phase(make_record(round_index=1, name="request"))
         log.record_phase(make_record(round_index=2, name="inform"))
-        assert len(log.phases_in_round(1)) == 2
-        assert log.last_phase().round_index == 2
+        assert [p.round_index for p in log.phases] == [1, 1, 2]
+        assert log.phases[-1].phase_name == "inform"
 
     def test_jammed_fraction(self):
         record = make_record(slots=10, jammed=5)
         assert record.jammed_fraction == 0.5
 
-    def test_slot_events_disabled_by_default(self):
-        log = EventLog()
-        log.record_slot(SlotEvent(0, 1, "inform", 1, False, 0))
-        assert log.slot_events == ()
-
-    def test_slot_events_capped(self):
-        log = EventLog(record_slots=True, max_slot_events=2)
-        for slot in range(5):
-            log.record_slot(SlotEvent(slot, 1, "inform", 1, False, 0))
-        assert len(log.slot_events) == 2
-        assert log.dropped_slot_events == 3
+    def test_trace_data_is_the_record_minus_its_labels(self):
+        record = make_record(round_index=4, name="request")
+        data = record.trace_data()
+        assert "round_index" not in data and "phase_name" not in data
+        assert list(data)[:4] == ["kind", "step", "num_slots", "start_slot"]
+        assert data["jammed_slots"] == 2 and data["nodes_cost"] == 4.0
+        assert len(data) == len(record.__dataclass_fields__) - 2
 
     def test_empty_log(self):
         log = EventLog()
-        assert log.last_phase() is None
+        assert len(log.phases) == 0
         assert log.rounds_executed() == 0
 
 

@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import pytest
 
 from repro.simulation import (
     ALICE_ID,
-    BudgetPolicy,
     ConfigurationError,
     Network,
-    Role,
     SimulationConfig,
 )
 
@@ -93,31 +92,43 @@ class TestDerivedBudgets:
 
 class TestNetwork:
     def test_device_counts(self, small_config):
-        network = Network(small_config)
-        assert len(network.nodes) == small_config.n
-        assert network.alice.role is Role.ALICE
-        assert all(node.role is Role.CORRECT for node in network.nodes)
+        ledger = Network(small_config).ledger
+        n = small_config.n
+        assert (ledger.n, ledger.alice, ledger.carol) == (n, n, n + 1)
+        assert ledger.budgets.shape == (n + 2,)
+        assert ledger.node_spent.shape == (n,)
 
     def test_device_lookup(self, small_config):
-        network = Network(small_config)
-        assert network.device(ALICE_ID) is network.alice
-        assert network.device(3) is network.nodes[3]
-        with pytest.raises(ConfigurationError):
-            network.device(10_000)
+        ledger = Network(small_config).ledger
+        assert ledger.label(ledger.alice) == "alice"
+        assert ledger.label(3) == "node:3"
+        assert ledger.label(ledger.carol) == "carol"
 
     def test_budgets_assigned(self, small_config):
-        network = Network(small_config)
-        assert network.alice.ledger.budget == pytest.approx(small_config.alice_budget)
-        assert network.nodes[0].ledger.budget == pytest.approx(small_config.node_budget)
-        assert network.adversary_ledger.budget == pytest.approx(small_config.adversary_total_budget)
+        ledger = Network(small_config).ledger
+        assert ledger.budgets[ledger.alice] == pytest.approx(small_config.alice_budget)
+        assert ledger.budgets[0] == pytest.approx(small_config.node_budget)
+        assert ledger.budgets[ledger.carol] == pytest.approx(small_config.adversary_total_budget)
 
     def test_adversary_budget_enforced_by_default(self, small_config):
-        network = Network(small_config)
-        assert network.adversary_ledger.policy is BudgetPolicy.CAP
+        ledger = Network(small_config).ledger
+        budget = small_config.adversary_total_budget
+        assert ledger.charge_bulk(ledger.carol, 2 * budget) == budget
+        assert not ledger.charge(ledger.carol)
 
-    def test_adversary_budget_enforcement_can_be_disabled(self, small_config):
-        network = Network(small_config, enforce_adversary_budget=False)
-        assert network.adversary_ledger.policy is BudgetPolicy.RECORD
+    def test_construction_allocates_only_ledger_arrays(self):
+        """Devices are ledger rows, not objects: building a 200k-node network
+        allocates two (n + 2)-float arrays (budgets, spent) and little else."""
+
+        config = SimulationConfig(n=200_000)
+        tracemalloc.start()
+        try:
+            network = Network(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert network.ledger.node_spent.size == config.n
+        assert peak < 8 * 2**20
 
     def test_cost_snapshot_fresh_network(self, small_config):
         snapshot = Network(small_config).cost_snapshot()

@@ -4,239 +4,202 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
-from repro.simulation import (
-    BudgetExceededError,
-    BudgetPolicy,
-    ConfigurationError,
-    EnergyLedger,
-    EnergyOperation,
-)
+from repro.simulation import ConfigurationError, LedgerArray
+
+
+def make_ledger(node_budget=10.0, alice_budget=10.0, carol_budget=10.0, n=4):
+    return LedgerArray(
+        n, node_budget=node_budget, alice_budget=alice_budget, carol_budget=carol_budget
+    )
 
 
 class TestEnergyOperations:
     def test_all_operations_cost_one_unit(self):
-        for operation in EnergyOperation:
-            assert operation.unit_cost == 1.0
+        # Send, listen, jam and spoof slots all cost one unit: the default charge.
+        ledger = make_ledger()
+        for row in (0, ledger.alice, ledger.carol):
+            assert ledger.charge(row)
+            assert ledger.spent(row) == 1.0
 
 
 class TestEnergyLedgerRecording:
     def test_initial_state(self):
-        ledger = EnergyLedger(owner="x", budget=10)
-        assert ledger.spent == 0
-        assert ledger.remaining == 10
-        assert not ledger.exhausted
+        ledger = make_ledger()
+        assert ledger.alice == 4 and ledger.carol == 5
+        for row in range(6):
+            assert ledger.spent(row) == 0
+        assert ledger.remaining(ledger.carol) == 10
+        assert ledger.node_spent.tolist() == [0.0] * 4
 
     def test_charge_accumulates(self):
-        ledger = EnergyLedger(owner="x", budget=10)
-        ledger.charge(EnergyOperation.SEND)
-        ledger.charge(EnergyOperation.LISTEN)
-        ledger.charge(EnergyOperation.LISTEN)
-        assert ledger.spent == 3
-        assert ledger.spent_on(EnergyOperation.LISTEN) == 2
-        assert ledger.spent_on(EnergyOperation.SEND) == 1
+        ledger = make_ledger()
+        ledger.charge(1)
+        ledger.charge(1)
+        ledger.charge(1)
+        assert ledger.spent(1) == 3
+        assert ledger.spent(0) == 0
 
     def test_zero_charge_is_noop(self):
-        ledger = EnergyLedger(owner="x", budget=10)
-        assert ledger.charge(EnergyOperation.SEND, 0)
-        assert ledger.spent == 0
+        ledger = make_ledger()
+        assert ledger.charge(0, 0)
+        assert ledger.spent(0) == 0
 
     def test_negative_charge_rejected(self):
-        ledger = EnergyLedger(owner="x", budget=10)
-        with pytest.raises(ConfigurationError):
-            ledger.charge(EnergyOperation.SEND, -1)
+        ledger = make_ledger()
+        with pytest.raises(ConfigurationError, match="node:2"):
+            ledger.charge(2, -1)
 
     def test_record_policy_allows_overdraft(self):
-        ledger = EnergyLedger(owner="x", budget=2, policy=BudgetPolicy.RECORD)
-        for _ in range(5):
-            assert ledger.charge(EnergyOperation.LISTEN)
-        assert ledger.spent == 5
-        assert ledger.overdraft == 3
+        ledger = make_ledger(node_budget=2, alice_budget=2)
+        for row in (0, ledger.alice):
+            for _ in range(5):
+                assert ledger.charge(row)
+            assert ledger.spent(row) == 5
+            assert ledger.overdrafts()[row] == 3
 
     def test_negative_budget_rejected(self):
-        with pytest.raises(ConfigurationError):
-            EnergyLedger(owner="x", budget=-1)
+        for budgets in ((-1, 1, 1), (1, -1, 1), (1, 1, -1)):
+            with pytest.raises(ConfigurationError):
+                make_ledger(*budgets)
 
     def test_infinite_budget_never_exhausts(self):
-        ledger = EnergyLedger(owner="x", budget=math.inf)
-        ledger.charge_bulk(EnergyOperation.JAM, 1e9)
-        assert not ledger.exhausted
-        assert ledger.can_afford(1e12)
-
-    def test_snapshot_contains_all_operations(self):
-        ledger = EnergyLedger(owner="x", budget=4)
-        ledger.charge(EnergyOperation.JAM)
-        snapshot = ledger.snapshot()
-        assert snapshot["spent"] == 1
-        assert snapshot["budget"] == 4
-        for operation in EnergyOperation:
-            assert operation.value in snapshot
+        ledger = make_ledger(carol_budget=math.inf)
+        assert ledger.charge_bulk(ledger.carol, 1e9) == 1e9
+        assert ledger.remaining(ledger.carol) == math.inf
+        assert ledger.charge(ledger.carol, 1e12)
 
 
 class TestEnergyLedgerEnforcement:
-    def test_enforce_policy_raises(self):
-        ledger = EnergyLedger(owner="x", budget=1, policy=BudgetPolicy.ENFORCE)
-        ledger.charge(EnergyOperation.SEND)
-        with pytest.raises(BudgetExceededError):
-            ledger.charge(EnergyOperation.SEND)
-
-    def test_enforce_error_carries_details(self):
-        ledger = EnergyLedger(owner="carol", budget=1, policy=BudgetPolicy.ENFORCE)
-        ledger.charge(EnergyOperation.JAM)
-        with pytest.raises(BudgetExceededError) as excinfo:
-            ledger.charge(EnergyOperation.JAM)
-        assert excinfo.value.owner == "carol"
-        assert excinfo.value.budget == 1
-
     def test_cap_policy_refuses_without_raising(self):
-        ledger = EnergyLedger(owner="x", budget=2, policy=BudgetPolicy.CAP)
-        assert ledger.charge(EnergyOperation.JAM)
-        assert ledger.charge(EnergyOperation.JAM)
-        assert not ledger.charge(EnergyOperation.JAM)
-        assert ledger.spent == 2
+        ledger = make_ledger(carol_budget=2)
+        assert ledger.charge(ledger.carol)
+        assert ledger.charge(ledger.carol)
+        assert not ledger.charge(ledger.carol)
+        assert ledger.spent(ledger.carol) == 2
 
     def test_exhausted_flag(self):
-        ledger = EnergyLedger(owner="x", budget=1, policy=BudgetPolicy.CAP)
-        assert not ledger.exhausted
-        ledger.charge(EnergyOperation.JAM)
-        assert ledger.exhausted
+        ledger = make_ledger(carol_budget=1)
+        assert ledger.remaining(ledger.carol) == 1
+        ledger.charge(ledger.carol)
+        assert ledger.remaining(ledger.carol) == 0
+        assert not ledger.charge(ledger.carol)
 
 
 class TestChargeBulk:
     def test_bulk_within_budget(self):
-        ledger = EnergyLedger(owner="x", budget=100)
-        charged = ledger.charge_bulk(EnergyOperation.LISTEN, 40)
+        ledger = make_ledger(node_budget=100)
+        charged = ledger.charge_bulk(0, 40)
         assert charged == 40
-        assert ledger.spent == 40
+        assert ledger.spent(0) == 40
 
     def test_bulk_cap_truncates(self):
-        ledger = EnergyLedger(owner="x", budget=10, policy=BudgetPolicy.CAP)
-        charged = ledger.charge_bulk(EnergyOperation.JAM, 25)
+        ledger = make_ledger(carol_budget=10)
+        charged = ledger.charge_bulk(ledger.carol, 25)
         assert charged == 10
-        assert ledger.spent == 10
-        assert ledger.remaining == 0
+        assert ledger.spent(ledger.carol) == 10
+        assert ledger.remaining(ledger.carol) == 0
 
     def test_bulk_cap_when_exhausted_returns_zero(self):
-        ledger = EnergyLedger(owner="x", budget=1, policy=BudgetPolicy.CAP)
-        ledger.charge_bulk(EnergyOperation.JAM, 1)
-        assert ledger.charge_bulk(EnergyOperation.JAM, 5) == 0
-
-    def test_bulk_enforce_raises(self):
-        ledger = EnergyLedger(owner="x", budget=5, policy=BudgetPolicy.ENFORCE)
-        with pytest.raises(BudgetExceededError):
-            ledger.charge_bulk(EnergyOperation.JAM, 6)
+        ledger = make_ledger(carol_budget=1)
+        ledger.charge_bulk(ledger.carol, 1)
+        assert ledger.charge_bulk(ledger.carol, 5) == 0
 
     def test_bulk_record_allows_overdraft(self):
-        ledger = EnergyLedger(owner="x", budget=5, policy=BudgetPolicy.RECORD)
-        assert ledger.charge_bulk(EnergyOperation.LISTEN, 9) == 9
-        assert ledger.overdraft == 4
+        ledger = make_ledger(node_budget=5, alice_budget=5)
+        for row in (3, ledger.alice):
+            assert ledger.charge_bulk(row, 9) == 9
+            assert ledger.overdrafts()[row] == 4
 
     def test_bulk_negative_rejected(self):
-        ledger = EnergyLedger(owner="x", budget=5)
-        with pytest.raises(ConfigurationError):
-            ledger.charge_bulk(EnergyOperation.LISTEN, -3)
+        ledger = make_ledger()
+        with pytest.raises(ConfigurationError, match="alice"):
+            ledger.charge_bulk(ledger.alice, -3)
 
     def test_bulk_zero_is_noop(self):
-        ledger = EnergyLedger(owner="x", budget=5)
-        assert ledger.charge_bulk(EnergyOperation.LISTEN, 0) == 0
+        ledger = make_ledger()
+        assert ledger.charge_bulk(0, 0) == 0
 
 
 class TestLedgerArray:
-    """Array-backed bulk accounting for the correct-node population."""
-
-    @staticmethod
-    def _array(budget=10.0, policy=BudgetPolicy.RECORD, count=4):
-        from repro.simulation import LedgerArray
-
-        return LedgerArray("node", count, budget, policy=policy)
+    """Vectorised charges over node cohorts, and the one-row interface."""
 
     def test_charge_bulk_many_records_per_device(self):
-        import numpy as np
-
-        array = self._array()
-        charged = array.charge_bulk_many(
-            EnergyOperation.LISTEN, np.array([0, 2]), np.array([3.0, 5.0])
-        )
+        ledger = make_ledger()
+        charged = ledger.charge_many(np.array([0, 2]), np.array([3.0, 5.0]))
         assert charged.tolist() == [3.0, 5.0]
-        assert array.spent_array().tolist() == [3.0, 0.0, 5.0, 0.0]
-        assert array.view(2).spent_on(EnergyOperation.LISTEN) == 5.0
-        assert array.view(1).spent == 0.0
+        assert ledger.node_spent.tolist() == [3.0, 0.0, 5.0, 0.0]
+        assert ledger.spent(1) == 0.0
 
     def test_charge_bulk_many_matches_per_device_charge_bulk(self):
-        """The vector op must be indistinguishable from n charge_bulk calls."""
+        """The vector op must be indistinguishable from one charge_bulk per row."""
 
-        import numpy as np
-
-        array = self._array(budget=100.0)
-        reference = [EnergyLedger(owner=f"ref:{i}", budget=100.0) for i in range(4)]
-        indices = np.array([0, 1, 3])
+        vector = make_ledger(node_budget=100.0)
+        reference = make_ledger(node_budget=100.0)
+        rows = np.array([0, 1, 3])
         units = np.array([2.0, 7.0, 1.5])
-        array.charge_bulk_many(EnergyOperation.SEND, indices, units)
-        for index, amount in zip(indices, units):
-            reference[index].charge_bulk(EnergyOperation.SEND, float(amount))
-        for i in range(4):
-            assert array.view(i).spent == reference[i].spent
-            assert array.view(i).spent_on(EnergyOperation.SEND) == reference[i].spent_on(
-                EnergyOperation.SEND
-            )
+        vector.charge_many(rows, units)
+        for row, amount in zip(rows, units):
+            reference.charge_bulk(int(row), float(amount))
+        for row in range(4):
+            assert vector.spent(row) == reference.spent(row)
 
-    def test_cap_policy_clips_each_device_independently(self):
-        import numpy as np
-
-        array = self._array(budget=5.0, policy=BudgetPolicy.CAP)
-        array.charge_bulk_many(EnergyOperation.JAM, np.array([0]), np.array([4.0]))
-        charged = array.charge_bulk_many(
-            EnergyOperation.JAM, np.array([0, 1]), np.array([3.0, 3.0])
-        )
-        assert charged.tolist() == [1.0, 3.0]  # device 0 clipped at its budget
-        assert array.view(0).spent == 5.0
-        assert array.view(0).remaining == 0.0
-
-    def test_enforce_policy_raises_on_any_overdraft(self):
-        import numpy as np
-
-        array = self._array(budget=5.0, policy=BudgetPolicy.ENFORCE)
-        with pytest.raises(BudgetExceededError):
-            array.charge_bulk_many(EnergyOperation.JAM, np.array([1]), np.array([6.0]))
+    def test_cap_binds_only_carols_row(self):
+        ledger = make_ledger(node_budget=5.0, alice_budget=5.0, carol_budget=5.0)
+        assert ledger.charge_bulk(ledger.carol, 8.0) == 5.0
+        charged = ledger.charge_many(np.array([0, 1]), np.array([8.0, 3.0]))
+        assert charged.tolist() == [8.0, 3.0]  # node rows record, never clip
+        assert ledger.charge_bulk(ledger.alice, 8.0) == 8.0
+        assert ledger.overdrafts().tolist() == [3.0, 0.0, 0.0, 0.0, 3.0, 0.0]
 
     def test_shape_mismatch_and_negative_rejected(self):
-        import numpy as np
-
-        array = self._array()
+        ledger = make_ledger()
         with pytest.raises(ConfigurationError):
-            array.charge_bulk_many(EnergyOperation.SEND, np.array([0, 1]), np.array([1.0]))
+            ledger.charge_many(np.array([0, 1]), np.array([1.0]))
         with pytest.raises(ConfigurationError):
-            array.charge_bulk_many(EnergyOperation.SEND, np.array([0]), np.array([-1.0]))
+            ledger.charge_many(np.array([0]), np.array([-1.0]))
 
-    def test_view_satisfies_the_energy_ledger_interface(self):
-        array = self._array(budget=3.0, policy=BudgetPolicy.CAP)
-        view = array.view(1)
-        assert view.owner == "node:1"
-        assert view.charge(EnergyOperation.SEND)
-        assert view.charge(EnergyOperation.LISTEN, 2.0)
-        assert not view.charge(EnergyOperation.SEND)  # CAP refuses the 4th unit
-        assert view.spent == 3.0
-        assert view.exhausted
-        snapshot = view.snapshot()
-        assert snapshot["spent"] == 3.0 and snapshot["send"] == 1.0
-        assert view.charge_bulk(EnergyOperation.LISTEN, 5.0) == 0.0
+    def test_rows_share_one_interface(self):
+        ledger = make_ledger(node_budget=3.0, alice_budget=3.0, carol_budget=3.0)
+        for row in (1, ledger.alice, ledger.carol):
+            assert ledger.charge(row)
+            assert ledger.charge(row, 2.0)
+            assert ledger.spent(row) == 3.0
+            assert ledger.remaining(row) == 0.0
+        # Only Carol's row refuses the fourth unit.
+        assert ledger.charge(1)
+        assert ledger.charge(ledger.alice)
+        assert not ledger.charge(ledger.carol)
+        assert ledger.charge_bulk(ledger.carol, 5.0) == 0.0
+        assert [ledger.label(r) for r in (1, ledger.alice, ledger.carol)] == [
+            "node:1",
+            "alice",
+            "carol",
+        ]
 
-    def test_view_out_of_range_rejected(self):
-        with pytest.raises(ConfigurationError):
-            self._array().view(4)
+    def test_charge_many_rejects_non_node_rows(self):
+        ledger = make_ledger()
+        for row in (-1, ledger.alice, ledger.carol):
+            with pytest.raises(ConfigurationError):
+                ledger.charge_many(np.array([row]), np.array([1.0]))
+        assert ledger.spent(ledger.carol) == 0.0
 
     def test_network_nodes_are_array_backed(self):
-        import numpy as np
-
         from repro.simulation import Network, SimulationConfig
 
         network = Network(SimulationConfig(n=8, seed=1))
-        network.nodes[3].ledger.charge(EnergyOperation.LISTEN)
-        network.node_ledgers.charge_bulk_many(
-            EnergyOperation.SEND, np.arange(8), np.full(8, 2.0)
-        )
+        ledger = network.ledger
+        ledger.charge(3)
+        ledger.charge_many(np.arange(8), np.full(8, 2.0))
         costs = network.node_costs()
         assert costs[3] == 3.0 and costs[0] == 2.0
-        assert network.nodes[3].ledger.spent == 3.0
-        assert network.max_node_cost() == 3.0
+        assert ledger.spent(3) == 3.0
+        assert ledger.node_total() == 17.0
+        assert network.cost_snapshot()["node_max"] == 3.0
+        # node_costs() is a copy; the ledger's node window is read-only.
+        costs[3] = 0.0
+        assert ledger.spent(3) == 3.0
+        with pytest.raises(ValueError):
+            ledger.node_spent[0] = 1.0

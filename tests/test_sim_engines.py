@@ -124,7 +124,7 @@ class TestEngineBasics:
     def test_adversary_budget_caps_jamming(self, engine_factory):
         config = SimulationConfig(n=32, f=0.0, budget_constant=1.0, seed=5)
         network = Network(config)
-        budget = network.adversary_ledger.budget
+        budget = network.ledger.budgets[network.ledger.carol]
         engine = engine_factory(network)
         plan = inform_plan(num_slots=int(budget) + 500)
         jam = JamPlan(num_jam_slots=plan.num_slots, targeting=JamTargeting.everyone())
