@@ -13,6 +13,10 @@ the seed originally used was salted per process) on ``n = 40`` for a roster
 of adversaries, both engines, and two seeds.  Any change to these numbers
 means the RNG draw sequence of the default model moved — which is exactly
 what this test exists to catch.
+
+The ``bursty`` and ``spoofing`` rows were captured later, from the code that
+still built burst schedules and spoof candidates slot by slot in Python, so
+they pin the draws of the vectorised jam-plan materialisation too.
 """
 
 from __future__ import annotations
@@ -20,10 +24,12 @@ from __future__ import annotations
 import pytest
 
 from repro.adversary import (
+    BurstyJammer,
     NullAdversary,
     NUniformSplitAdversary,
     PhaseBlockingAdversary,
     RandomJammer,
+    SpoofingAdversary,
 )
 from repro.core.broadcast import EpsilonBroadcast, MultiHopBroadcast
 from repro.simulation import SimulationConfig, TopologySpec
@@ -33,6 +39,8 @@ ADVERSARIES = {
     "blocker": lambda: PhaseBlockingAdversary(max_total_spend=2000),
     "random": lambda: RandomJammer(rate=0.3, max_total_spend=1500),
     "splitter": lambda: NUniformSplitAdversary(target_uninformed=3),
+    "bursty": lambda: BurstyJammer(burst_length=4, period=8, max_total_spend=1500),
+    "spoofing": lambda: SpoofingAdversary(max_total_spend=1500),
 }
 
 # (adversary, engine, seed) -> pre-refactor snapshot at n = 40.
@@ -53,6 +61,14 @@ GOLDEN = {
     ("splitter", "fast", 11): {"alice": 512.0, "adversary": 4421.0, "node_mean": 759.5, "node_max": 10240.0, "node_total": 30380.0, "informed": 37, "slots": 53760},
     ("splitter", "slot", 3): {"alice": 492.0, "adversary": 4421.0, "node_mean": 758.7, "node_max": 10159.0, "node_total": 30348.0, "informed": 37, "slots": 53760},
     ("splitter", "slot", 11): {"alice": 494.0, "adversary": 4421.0, "node_mean": 760.55, "node_max": 10208.0, "node_total": 30422.0, "informed": 37, "slots": 53760},
+    ("bursty", "fast", 3): {"alice": 746.0, "adversary": 1500.0, "node_mean": 11.225, "node_max": 13.0, "node_total": 449.0, "informed": 40, "slots": 6717},
+    ("bursty", "fast", 11): {"alice": 688.0, "adversary": 1500.0, "node_mean": 11.325, "node_max": 12.0, "node_total": 453.0, "informed": 40, "slots": 6717},
+    ("bursty", "slot", 3): {"alice": 670.0, "adversary": 1500.0, "node_mean": 14.15, "node_max": 16.0, "node_total": 566.0, "informed": 40, "slots": 6717},
+    ("bursty", "slot", 11): {"alice": 725.0, "adversary": 1500.0, "node_mean": 14.275, "node_max": 16.0, "node_total": 571.0, "informed": 40, "slots": 6717},
+    ("spoofing", "fast", 3): {"alice": 736.0, "adversary": 1500.0, "node_mean": 3.075, "node_max": 4.0, "node_total": 123.0, "informed": 40, "slots": 6717},
+    ("spoofing", "fast", 11): {"alice": 715.0, "adversary": 1500.0, "node_mean": 3.075, "node_max": 4.0, "node_total": 123.0, "informed": 40, "slots": 6717},
+    ("spoofing", "slot", 3): {"alice": 670.0, "adversary": 1500.0, "node_mean": 3.15, "node_max": 4.0, "node_total": 126.0, "informed": 40, "slots": 6717},
+    ("spoofing", "slot", 11): {"alice": 725.0, "adversary": 1500.0, "node_mean": 3.075, "node_max": 4.0, "node_total": 123.0, "informed": 40, "slots": 6717},
 }
 
 
