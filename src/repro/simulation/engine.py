@@ -95,23 +95,19 @@ class SlotEngine:
         reactive = jam_plan.reactive
         scheduled_jams: Set[int] = set()
         if not reactive:
-            scheduled_jams = set(
-                int(x) for x in materialize_jam_slots(jam_plan, s, self._rng_adversary)
-            )
-        spoof_payload_slots = set(
-            int(x)
-            for x in materialize_spoof_slots(
+            scheduled_jams = set(materialize_jam_slots(jam_plan, s, self._rng_adversary).tolist())
+        spoof_payload_slots: Set[int] = set(
+            materialize_spoof_slots(
                 jam_plan.spoof_payload_slots, s, self._rng_adversary, exclude=scheduled_jams
-            )
+            ).tolist()
         )
-        spoof_nack_slots = set(
-            int(x)
-            for x in materialize_spoof_slots(
+        spoof_nack_slots: Set[int] = set(
+            materialize_spoof_slots(
                 jam_plan.spoof_nack_slots,
                 s,
                 self._rng_adversary,
                 exclude=scheduled_jams | spoof_payload_slots,
-            )
+            ).tolist()
         )
 
         reactive_jams_remaining = jam_plan.num_jam_slots if reactive else 0

@@ -33,11 +33,12 @@ Over a multi-hop :class:`~repro.simulation.topology.Topology` the aggregate
 shortcut above no longer applies — what a listener hears depends on *which*
 of its neighbours transmitted.  :meth:`PhaseEngine._run_phase_multihop_sparse`
 resolves such a phase from its transmission *events* instead.  Per-slot
-action probabilities are ``O(1/n)`` (sends) or geometrically decaying
-(listens), so the events of a phase — who transmitted in which slot — number
-``O(n)`` rather than ``O(n·slots)``, and Gilbert-graph degrees concentrate
-around ``π r² n`` (arXiv:1312.4861), so their audible pairs number
-``O(n · E[deg])``.  The multi-hop path:
+send probabilities are ``O(1/n)``, so the events of a phase of ``s`` slots —
+who transmitted in which slot — number about ``s·|active|/n`` rather than
+``|active|·s`` (roughly one per slot while a request phase's cohort is
+uninformed), and Gilbert-graph degrees concentrate around ``π r² n``
+(arXiv:1312.4861), so each event reaches ``O(E[deg])`` listeners.  The
+multi-hop path:
 
 * samples transmission events exactly (a Bernoulli grid conditioned on its
   binomial count is a uniform subset of device×slot cells),
@@ -60,7 +61,7 @@ before informed listeners fall silent.
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Dict, Optional, Set
 
 import numpy as np
 
@@ -154,80 +155,77 @@ class PhaseEngine:
         decoys = roles.decoy_ids
 
         # ------------------------------------------------------------------ #
-        # 1. Per-slot correct-side transmission counts                        #
+        # 1. Per-slot transmission counts: payload (Alice, relays) and noise  #
+        #    (nacks, decoys; Carol's spoofs are added in step 2)              #
         # ------------------------------------------------------------------ #
-        alice_sends = np.zeros(s, dtype=bool)
+        payload_tx = np.zeros(s, dtype=np.int64)
+        noise_tx = np.zeros(s, dtype=np.int64)
+        alice_send_slots = 0
         if roles.alice_active and plan.alice_send_prob > 0:
             alice_sends = rng.random(s) < plan.alice_send_prob
-
-        relay_counts = np.zeros(s, dtype=np.int64)
+            alice_send_slots = int(np.count_nonzero(alice_sends))
+            payload_tx += alice_sends
         if relays.size and plan.relay_send_prob > 0:
-            relay_counts = rng.binomial(relays.size, plan.relay_send_prob, size=s)
-
-        nack_counts = np.zeros(s, dtype=np.int64)
+            payload_tx += rng.binomial(relays.size, plan.relay_send_prob, size=s)
         if uninformed.size and plan.nack_send_prob > 0:
-            nack_counts = rng.binomial(uninformed.size, plan.nack_send_prob, size=s)
-
-        decoy_counts = np.zeros(s, dtype=np.int64)
+            noise_tx += rng.binomial(uninformed.size, plan.nack_send_prob, size=s)
         if decoys.size and plan.decoy_send_prob > 0:
-            decoy_counts = rng.binomial(decoys.size, plan.decoy_send_prob, size=s)
-
-        correct_tx = alice_sends.astype(np.int64) + relay_counts + nack_counts + decoy_counts
-        correct_activity = correct_tx > 0
+            noise_tx += rng.binomial(decoys.size, plan.decoy_send_prob, size=s)
 
         # ------------------------------------------------------------------ #
         # 2. Adversary actions (jamming + spoofed transmissions)              #
         # ------------------------------------------------------------------ #
+        correct_activity = (payload_tx > 0) | (noise_tx > 0) if jam_plan.reactive else None
         (
             jam_mask,
-            spoof_counts,
+            spoof_slots,
             adversary_spend,
             jammed_slots,
             spoofed_transmissions,
         ) = self._materialize_adversary_actions(jam_plan, s, rng, correct_activity)
+        noise_tx[spoof_slots] += 1  # spoofed slots are distinct
 
-        total_tx = correct_tx + spoof_counts
-        busy_slots = int(np.count_nonzero((total_tx > 0) | jam_mask))
+        # Noisy-for-a-listener slots: any transmission, or jamming that hits
+        # it.  A jam victim's noisy slots are exactly the phase's busy slots.
+        any_tx = (payload_tx > 0) | (noise_tx > 0)
+        noisy_for_spared = int(np.count_nonzero(any_tx))
+        noisy_for_victim = (
+            int(np.count_nonzero(any_tx | jam_mask)) if jammed_slots else noisy_for_spared
+        )
+        busy_slots = noisy_for_victim
 
         # ------------------------------------------------------------------ #
         # 3. Delivery slots: exactly one transmission and it is authentic m   #
         # ------------------------------------------------------------------ #
-        one_tx = total_tx == 1
-        payload_tx = alice_sends.astype(np.int64) + relay_counts
-        delivers = one_tx & (payload_tx == 1)
+        delivers = (payload_tx == 1) & (noise_tx == 0)
+        good_unjammed = int(np.count_nonzero(delivers))
+        good_when_victim = (
+            int(np.count_nonzero(delivers & ~jam_mask)) if jammed_slots else good_unjammed
+        )
         jam_affects_listeners = jam_plan.targeting.mode is not JamMode.NONE
+        delivery_slots = good_when_victim if jam_affects_listeners else good_unjammed
+        victim = (
+            self._victim_mask(uninformed, jam_plan)
+            if jam_affects_listeners
+            else np.zeros(uninformed.size, dtype=bool)
+        )
 
         newly_informed: Set[int] = set()
         informed_mask: np.ndarray | None = None
         good_per_node: np.ndarray | None = None
         if plan.carries_payload and uninformed.size:
-            good_unjammed = int(np.count_nonzero(delivers))
-            good_when_victim = int(np.count_nonzero(delivers & ~jam_mask))
             p_listen = plan.uninformed_listen_prob
             if p_listen > 0:
-                victim = self._victim_mask(uninformed, jam_plan) if jam_affects_listeners else np.zeros(
-                    uninformed.size, dtype=bool
-                )
                 good_per_node = np.where(victim, good_when_victim, good_unjammed)
                 p_informed = 1.0 - np.power(1.0 - p_listen, good_per_node)
                 informed_mask = rng.random(uninformed.size) < p_informed
-                newly_informed = set(int(x) for x in uninformed[informed_mask])
-
-        delivery_slots = int(np.count_nonzero(delivers & ~jam_mask)) if jam_affects_listeners else int(
-            np.count_nonzero(delivers)
-        )
+                newly_informed = set(uninformed[informed_mask].tolist())
 
         # ------------------------------------------------------------------ #
         # 4. Costs                                                            #
         # ------------------------------------------------------------------ #
-        alice_send_slots = int(np.count_nonzero(alice_sends))
         if alice_send_slots:
             ledger.charge_bulk(ledger.alice, float(alice_send_slots))
-
-        # Noisy-for-a-listener slots: any transmission, or jamming that hits it.
-        noisy_any_tx = total_tx > 0
-        noisy_for_victim = int(np.count_nonzero(noisy_any_tx | jam_mask))
-        noisy_for_spared = int(np.count_nonzero(noisy_any_tx))
 
         alice_listen_slots = 0
         alice_noisy = 0
@@ -244,9 +242,6 @@ class PhaseEngine:
         node_noisy: Dict[int, int] = {}
         jam_victims = 0
         if uninformed.size:
-            victim = self._victim_mask(uninformed, jam_plan) if jam_affects_listeners else np.zeros(
-                uninformed.size, dtype=bool
-            )
             jam_victims = int(victim.sum())
             noisy_per_node = np.where(victim, noisy_for_victim, noisy_for_spared)
             quiet_per_node = s - noisy_per_node
@@ -273,9 +268,7 @@ class PhaseEngine:
             # Listening and nack sends: one vector charge over the cohort.
             ledger.charge_many(uninformed, listen_cost + nack_cost)
             if plan.kind is PhaseKind.REQUEST:
-                node_noisy = {
-                    int(node_id): int(heard[idx]) for idx, node_id in enumerate(uninformed)
-                }
+                node_noisy = dict(zip(uninformed.tolist(), heard.tolist()))
 
         if relays.size and plan.relay_send_prob > 0:
             relay_cost = rng.binomial(s, plan.relay_send_prob, size=relays.size)
@@ -377,12 +370,15 @@ class PhaseEngine:
         # ------------------------------------------------------------------ #
         (
             jam_mask,
-            spoof_counts,
+            spoof_slots,
             adversary_spend,
             jammed_slots,
             spoofed_transmissions,
-        ) = self._materialize_adversary_actions(jam_plan, s, rng, activity())
-        spoof_busy = spoof_counts > 0
+        ) = self._materialize_adversary_actions(
+            jam_plan, s, rng, activity() if jam_plan.reactive else None
+        )
+        spoof_busy = np.zeros(s, dtype=bool)
+        spoof_busy[spoof_slots] = True
 
         jam_affects_listeners = jam_plan.targeting.mode is not JamMode.NONE
         victim = (
@@ -550,9 +546,7 @@ class PhaseEngine:
                         own_noisy |= np.isin(own_keys, audible_keys)
                     n_noisy = n_noisy - np.bincount(own_pos[own_noisy], minlength=num_u)
                 heard_noisy = rng.binomial(np.maximum(n_noisy, 0), p_listen)
-                node_noisy = {
-                    int(uninformed[i]): int(heard_noisy[i]) for i in range(num_u)
-                }
+                node_noisy = dict(zip(uninformed.tolist(), heard_noisy.tolist()))
 
             ledger.charge_many(uninformed, listen_cost + nack_cost)
 
@@ -618,15 +612,17 @@ class PhaseEngine:
         jam_plan: JamPlan,
         s: int,
         rng: np.random.Generator,
-        correct_activity: np.ndarray,
+        correct_activity: Optional[np.ndarray],
     ) -> "tuple[np.ndarray, np.ndarray, float, int, int]":
         """Materialise jamming and spoofing for one phase under the budget.
 
         Shared by the single-hop and multi-hop paths so the truncation rules
         (jams charged first; spoof truncation drops nack spoofs before
         payload spoofs — arbitrary but deterministic) cannot diverge.
-        Returns ``(jam_mask, spoof_counts, adversary_spend, jammed_slots,
-        spoofed_transmissions)``.
+        ``correct_activity`` is needed only by reactive plans.  Returns
+        ``(jam_mask, spoof_slots, adversary_spend, jammed_slots,
+        spoofed_transmissions)``; ``spoof_slots`` are distinct and disjoint
+        from the jammed slots.
         """
 
         ledger = self.network.ledger
@@ -640,31 +636,22 @@ class PhaseEngine:
         jam_mask[jam_offsets] = True
 
         spoof_payload = materialize_spoof_slots(
-            jam_plan.spoof_payload_slots, s, rng, exclude=jam_offsets.tolist()
+            jam_plan.spoof_payload_slots, s, rng, exclude=jam_offsets
         )
         spoof_nack = materialize_spoof_slots(
             jam_plan.spoof_nack_slots,
             s,
             rng,
-            exclude=jam_offsets.tolist() + spoof_payload.tolist(),
+            exclude=np.concatenate((jam_offsets, spoof_payload)),
         )
         spoof_budget = ledger.charge_bulk(carol, float(len(spoof_payload) + len(spoof_nack)))
         total_spoofs = int(spoof_budget)
         keep_payload = min(len(spoof_payload), total_spoofs)
         keep_nack = min(len(spoof_nack), total_spoofs - keep_payload)
-        spoof_payload = spoof_payload[:keep_payload]
-        spoof_nack = spoof_nack[:keep_nack]
-
-        spoof_counts = np.zeros(s, dtype=np.int64)
-        if len(spoof_payload):
-            spoof_counts[spoof_payload] += 1
-        if len(spoof_nack):
-            spoof_counts[spoof_nack] += 1
+        spoof_slots = np.concatenate((spoof_payload[:keep_payload], spoof_nack[:keep_nack]))
 
         adversary_spend = float(jam_spend + spoof_budget)
-        jammed_slots = int(jam_mask.sum())
-        spoofed_transmissions = int(len(spoof_payload) + len(spoof_nack))
-        return jam_mask, spoof_counts, adversary_spend, jammed_slots, spoofed_transmissions
+        return jam_mask, spoof_slots, adversary_spend, len(jam_offsets), len(spoof_slots)
 
     @staticmethod
     def _truncate_informed_listening(

@@ -10,13 +10,18 @@ same *kind* of attack regardless of which engine executes it:
   correct-side channel activity (the reactive jammer senses the channel within
   the slot and only spends energy when there is something to disrupt).
 
+Every plan resolves to sorted ``int64`` slot offsets with array operations
+only — no per-slot Python — so the cost follows numpy, not Carol's attack
+volume.  The random draws (their arguments and their order) are pinned by the
+single-hop golden regression for both engines.
+
 Budget capping is applied by the caller (the engines), because only they know
 how much of Carol's aggregate budget remains at the moment of each attack.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -51,8 +56,11 @@ def materialize_jam_slots(
         return np.empty(0, dtype=np.int64)
 
     if plan.slot_indices is not None:
-        indices = np.unique(np.asarray(plan.slot_indices, dtype=np.int64))
-        return indices[(indices >= 0) & (indices < num_slots)]
+        indices = np.asarray(plan.slot_indices, dtype=np.int64)
+        if indices.size > 1 and not bool(np.all(indices[1:] > indices[:-1])):
+            indices = np.unique(indices)
+        lo, hi = np.searchsorted(indices, (0, num_slots))
+        return indices[lo:hi]
 
     if plan.reactive:
         if activity_mask is None:
@@ -78,18 +86,27 @@ def materialize_spoof_slots(
     count: int,
     num_slots: int,
     rng: np.random.Generator,
-    exclude: Sequence[int] = (),
+    exclude: Iterable[int] | np.ndarray = (),
 ) -> np.ndarray:
     """Pick ``count`` distinct slots for Byzantine spoofed transmissions.
 
     ``exclude`` lists slots that should not be chosen (e.g. slots already
     being jammed — jamming and spoofing the same slot would waste energy).
+    Duplicates are harmless and entries outside ``[0, num_slots)`` are
+    ignored.  The draw is one ``rng.choice`` over the ascending free slots.
     """
 
     if count <= 0 or num_slots <= 0:
         return np.empty(0, dtype=np.int64)
-    excluded = set(int(x) for x in exclude)
-    candidates = np.array([s for s in range(num_slots) if s not in excluded], dtype=np.int64)
+    if isinstance(exclude, np.ndarray):
+        excluded = exclude.astype(np.int64, copy=False)
+    else:
+        excluded = np.fromiter(exclude, dtype=np.int64)
+    # Explicit range filter: a negative index would otherwise wrap around.
+    excluded = excluded[(excluded >= 0) & (excluded < num_slots)]
+    free = np.ones(num_slots, dtype=bool)
+    free[excluded] = False
+    candidates = np.flatnonzero(free)
     if candidates.size == 0:
         return np.empty(0, dtype=np.int64)
     chosen = min(count, candidates.size)

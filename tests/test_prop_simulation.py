@@ -6,9 +6,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.adversary import BurstyJammer
 from repro.simulation import (
     Channel,
     LedgerArray,
@@ -128,6 +129,103 @@ class TestJammingMaterialisationProperties:
         assert len(set(slot_list)) == len(slot_list)
         assert not (set(slot_list) & exclude)
         assert all(0 <= slot < num_slots for slot in slot_list)
+
+
+def _spoof_slots_oracle(count, num_slots, rng, exclude):
+    """Spoof-slot selection as a per-slot list comprehension (the reference)."""
+
+    if count <= 0 or num_slots <= 0:
+        return np.empty(0, dtype=np.int64)
+    excluded = set(int(x) for x in exclude)
+    candidates = np.array([s for s in range(num_slots) if s not in excluded], dtype=np.int64)
+    if candidates.size == 0:
+        return np.empty(0, dtype=np.int64)
+    chosen = min(count, candidates.size)
+    return np.sort(rng.choice(candidates, size=chosen, replace=False))
+
+
+def _burst_slots_oracle(burst_length, period, offset, num_slots):
+    """The bursty jammer's schedule, built burst by burst (the reference)."""
+
+    slots = []
+    start = offset
+    while start < num_slots:
+        for slot in range(start, min(start + burst_length, num_slots)):
+            slots.append(slot)
+        start += period
+    return tuple(slots)
+
+
+class TestJammingMaterialisationOracles:
+    """The array implementations draw exactly what the per-slot references draw.
+
+    Each check compares the result and the generator state afterwards, so a
+    change that consumes the random stream differently fails even when the
+    chosen slots happen to agree.
+    """
+
+    @given(
+        num_slots=st.integers(min_value=0, max_value=300),
+        count=st.integers(min_value=0, max_value=400),
+        exclude=st.lists(st.integers(min_value=-40, max_value=360), max_size=80),
+        container=st.sampled_from(["set", "list", "ndarray"]),
+        seed=st.integers(min_value=0, max_value=2**20),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_spoof_slots_match_the_list_comprehension(
+        self, num_slots, count, exclude, container, seed
+    ):
+        if container == "set":
+            excluded = set(exclude)
+        elif container == "ndarray":
+            excluded = np.array(exclude, dtype=np.int64)
+        else:
+            excluded = list(exclude)
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        slots = materialize_spoof_slots(count, num_slots, rng, exclude=excluded)
+        expected = _spoof_slots_oracle(count, num_slots, oracle_rng, exclude)
+        assert slots.dtype == np.int64
+        np.testing.assert_array_equal(slots, expected)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @given(
+        num_slots=st.integers(min_value=0, max_value=500),
+        indices=st.lists(st.integers(min_value=-30, max_value=600), max_size=120),
+        presorted=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**20),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_explicit_jam_slots_match_np_unique(self, num_slots, indices, presorted, seed):
+        if presorted:
+            indices = sorted(set(indices))
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        slots = materialize_jam_slots(JamPlan(slot_indices=tuple(indices)), num_slots, rng)
+        unique = np.unique(np.asarray(indices, dtype=np.int64))
+        expected = (
+            unique[(unique >= 0) & (unique < num_slots)]
+            if num_slots > 0
+            else np.empty(0, dtype=np.int64)
+        )
+        assert slots.dtype == np.int64
+        np.testing.assert_array_equal(slots, expected)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @given(
+        burst_length=st.integers(min_value=1, max_value=20),
+        slack=st.integers(min_value=0, max_value=20),
+        offset=st.integers(min_value=0, max_value=400),
+        num_slots=st.integers(min_value=0, max_value=400),
+    )
+    @example(burst_length=3, slack=0, offset=0, num_slots=10)  # burst_length == period
+    @example(burst_length=4, slack=4, offset=50, num_slots=50)  # offset >= num_slots
+    @example(burst_length=4, slack=4, offset=60, num_slots=50)
+    @settings(max_examples=150, deadline=None)
+    def test_burst_slots_match_the_loop(self, burst_length, slack, offset, num_slots):
+        jammer = BurstyJammer(burst_length=burst_length, period=burst_length + slack, offset=offset)
+        slots = jammer.burst_slots(num_slots)
+        expected = _burst_slots_oracle(burst_length, burst_length + slack, offset, num_slots)
+        assert slots == expected
+        assert all(type(slot) is int for slot in slots)
 
 
 class TestProbabilityAndConfigProperties:

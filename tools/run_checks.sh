@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the full unit/property/integration suite, the
 # repro-lint determinism gate (plus mypy when installed), a quick-mode
-# benchmark smoke over a representative experiment subset, the sparse-topology
-# and mobile-jammer benchmark smokes, and the docs code-snippet smoke
+# benchmark smoke over a representative experiment subset (delivery, the
+# E9 jamming-strategy ablation and E10 spoofing attacks, which gate the
+# burst and spoof paths, multi-hop, quiet rule), the sparse-topology and
+# mobile-jammer benchmark smokes, and the docs code-snippet smoke
 # (README / docs quickstarts must stay runnable).
 #
 # Usage:
@@ -63,9 +65,9 @@ fi
 
 if [[ "${1:-}" != "--no-bench" ]]; then
     REPRO_BENCH_N="${REPRO_BENCH_N:-96}" REPRO_BENCH_TRIALS="${REPRO_BENCH_TRIALS:-1}" \
-        run_step "quick-mode benchmark smoke (E2 delivery + E11 multihop + E13 quiet rule)" \
-        python -m pytest benchmarks/bench_delivery.py benchmarks/bench_multihop.py \
-        benchmarks/bench_quiet_rule.py \
+        run_step "quick-mode benchmark smoke (E2 delivery + E9 adversary ablation + E10 spoofing + E11 multihop + E13 quiet rule)" \
+        python -m pytest benchmarks/bench_delivery.py benchmarks/bench_adversary_ablation.py \
+        benchmarks/bench_spoofing.py benchmarks/bench_multihop.py benchmarks/bench_quiet_rule.py \
         --benchmark-only --benchmark-disable-gc -q
 
     run_step "sparse-topology benchmark smoke (CSR build sweep + 1 GiB footprint gate)" \
