@@ -33,6 +33,7 @@ from ..simulation.fastengine import PhaseEngine
 from ..simulation.metrics import CostBreakdown, DeliveryStats
 from ..simulation.network import Network
 from ..simulation.phaseplan import PhaseContext, PhaseKind, PhasePlan, PhaseResult, PhaseRoles
+from ..simulation.topology import Topology
 from ..observability.trace import NULL_RECORDER, TraceEvent, TraceRecorder
 from .alice import AlicePolicy
 from .outcome import BroadcastOutcome
@@ -430,6 +431,39 @@ class EpsilonBroadcast:
         )
 
 
+class _RelayDemand:
+    """Per node, how many of its node neighbours are still active and uninformed.
+
+    A multi-hop relay retires exactly when its count reaches 0.  The counts
+    start at :meth:`~repro.simulation.topology.Topology.degrees` (every run
+    starts with the whole population active and uninformed) and drop by one
+    ``np.bincount`` over the CSR neighbours of the nodes that left the cohort
+    since the previous :meth:`update`.  Nodes never rejoin the cohort, so
+    each neighbour list is gathered at most once per run: O(nnz) per run in
+    total, plus an O(n) membership mask per phase in which the cohort shrank.
+    """
+
+    def __init__(self, topology: Topology) -> None:
+        self.csr = topology.neighbor_csr()
+        self.counts = topology.degrees().copy()
+        self.in_cohort = np.ones(topology.n, dtype=bool)
+        self.size = topology.n
+
+    def update(self, cohort: np.ndarray) -> np.ndarray:
+        """Bring the counts up to date with ``cohort`` (the active-uninformed ids)."""
+
+        if cohort.size != self.size:
+            n = self.in_cohort.size
+            in_cohort = np.zeros(n, dtype=bool)
+            in_cohort[cohort] = True
+            # The cohort only ever shrinks, so xor leaves exactly the leavers.
+            gone = self.csr.gather(np.flatnonzero(self.in_cohort ^ in_cohort))
+            self.counts -= np.bincount(gone, minlength=n + 1)[:n]
+            self.in_cohort = in_cohort
+            self.size = cohort.size
+        return self.counts
+
+
 class MultiHopBroadcast(EpsilonBroadcast):
     """ε-Broadcast with a multi-hop relay layer for spatial topologies.
 
@@ -508,7 +542,13 @@ class MultiHopBroadcast(EpsilonBroadcast):
         # Pipelined steps beyond the scheduled k - 1 are built on demand and
         # memoised like the static per-round plans.
         self._extra_step_cache: Dict[tuple, PhasePlan] = {}
+        # Per-run relay-retirement counts, built on the first multi-hop phase.
+        self._relay_demand: Optional[_RelayDemand] = None
         super().__init__(*args, **kwargs)
+
+    def run(self) -> BroadcastOutcome:
+        self._relay_demand = None
+        return super().run()
 
     def _run_start_data(self) -> Dict[str, object]:
         data = super()._run_start_data()
@@ -702,14 +742,9 @@ class MultiHopBroadcast(EpsilonBroadcast):
         relays = state.active_informed_array()
         if relays.size == 0:
             return
-        # One CSR neighbourhood slice answers "does any active uninformed
-        # neighbour remain?" for the whole frontier at once — O(sum of relay
-        # degrees) instead of per-relay Python set intersections, which is
-        # what keeps the relay layer viable at n >> 10^4.  Both cohorts are
-        # the state's cached arrays: no sets are materialised or sorted here.
-        still_needed = self.network.topology.any_neighbor_in(
-            relays, state.active_uninformed_array()
-        )
-        satisfied = relays[~still_needed]
+        if self._relay_demand is None:
+            self._relay_demand = _RelayDemand(self.network.topology)
+        need = self._relay_demand.update(state.active_uninformed_array())
+        satisfied = relays[need[relays] == 0]
         if satisfied.size:
             state.terminate_informed(satisfied, round_index)

@@ -122,9 +122,21 @@ def _gather_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     total = int(counts.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    ends = np.cumsum(counts)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
-    return np.repeat(np.asarray(starts, dtype=np.int64), counts) + offsets
+    # Entry j of range i sits at arange position (ends - counts)[i] + j, so
+    # one repeat of the per-range shift turns a flat arange into the indices.
+    shifts = np.asarray(starts, dtype=np.int64) - (np.cumsum(counts) - counts)
+    return np.repeat(shifts, counts) + np.arange(total, dtype=np.int64)
+
+
+def _dedupe_sorted(values: np.ndarray) -> np.ndarray:
+    """Distinct values of an already-sorted array, by an adjacent-difference mask."""
+
+    if values.size < 2:
+        return values
+    keep = np.empty(values.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 @dataclass(frozen=True)
@@ -194,6 +206,12 @@ class NeighborCSR:
         flat = _gather_ranges(self.indptr[rows], counts)
         return origins, self.indices[flat].astype(np.int64, copy=False)
 
+    def gather(self, rows: np.ndarray) -> np.ndarray:
+        """The rows' neighbour lists concatenated (``int32``), without origins."""
+
+        starts = self.indptr[rows]
+        return self.indices[_gather_ranges(starts, self.indptr[rows + 1] - starts)]
+
     def to_dense(self) -> np.ndarray:
         """Materialise the boolean adjacency matrix (Θ(num_rows²) memory)."""
 
@@ -209,21 +227,57 @@ class NeighborCSR:
         return int(self.indptr.nbytes + self.indices.nbytes)
 
 
+def _bfs(
+    csr: NeighborCSR,
+    frontier: np.ndarray,
+    open_rows: np.ndarray,
+    levels: Optional[int] = None,
+) -> List[np.ndarray]:
+    """Breadth-first levels outward from ``frontier`` through ``open_rows``.
+
+    The one BFS kernel behind reachability, truncation, components and the
+    Alice-distance statistic.  ``open_rows`` is a boolean mask over CSR rows
+    and is **mutated**: every row a level reaches is closed, so afterwards
+    the rows that were open and are now closed are exactly the reached ones.
+    Each level filters the gathered neighbours by the mask first and closes
+    them, so only the survivors are sorted and deduplicated.  The
+    ``frontier`` rows themselves are expanded but not closed.  Returns the
+    reached rows per level (sorted, distinct), at most ``levels`` of them.
+    """
+
+    reached: List[np.ndarray] = []
+    while frontier.size and (levels is None or len(reached) < levels):
+        nbrs = csr.gather(frontier)
+        nbrs = nbrs[open_rows[nbrs]]
+        open_rows[nbrs] = False
+        nbrs.sort()
+        frontier = _dedupe_sorted(nbrs)
+        reached.append(frontier)
+    return reached
+
+
+def _keys_to_csr(keys: np.ndarray, num_rows: int) -> NeighborCSR:
+    """CSR from sorted, distinct ``row * num_rows + col`` edge keys."""
+
+    rows = keys // num_rows
+    cols = keys - rows * num_rows
+    counts = np.bincount(rows, minlength=num_rows)
+    indptr = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64)])
+    return NeighborCSR(indptr=indptr, indices=cols.astype(np.int32))
+
+
 def _edges_to_csr(us: np.ndarray, vs: np.ndarray, num_rows: int) -> NeighborCSR:
     """Build a symmetric :class:`NeighborCSR` from unordered edge endpoints.
 
     ``(us[i], vs[i])`` are undirected edges with ``us[i] != vs[i]``, each
-    unordered pair appearing exactly once.
+    unordered pair appearing exactly once, so the two directed keys of every
+    edge are already distinct and one ``int64`` key sort orders the CSR.
     """
 
-    rows = np.concatenate([us, vs])
-    cols = np.concatenate([vs, us])
-    order = np.lexsort((cols, rows))
-    rows = rows[order]
-    cols = cols[order]
-    counts = np.bincount(rows, minlength=num_rows)
-    indptr = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64)])
-    return NeighborCSR(indptr=indptr, indices=cols.astype(np.int32))
+    m = np.int64(num_rows)
+    keys = np.concatenate([us * m + vs, vs * m + us])
+    keys.sort()
+    return _keys_to_csr(keys, num_rows)
 
 
 def _directed_edges_to_csr(us: np.ndarray, vs: np.ndarray, num_rows: int) -> NeighborCSR:
@@ -231,12 +285,8 @@ def _directed_edges_to_csr(us: np.ndarray, vs: np.ndarray, num_rows: int) -> Nei
 
     m = np.int64(num_rows)
     keys = np.concatenate([us * m + vs, vs * m + us])
-    keys = np.unique(keys)
-    rows = keys // m
-    cols = keys % m
-    counts = np.bincount(rows, minlength=num_rows)
-    indptr = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64)])
-    return NeighborCSR(indptr=indptr, indices=cols.astype(np.int32))
+    keys.sort()
+    return _keys_to_csr(_dedupe_sorted(keys), num_rows)
 
 
 # --------------------------------------------------------------------------- #
@@ -278,21 +328,19 @@ class _CellGrid:
 def _cross_pairs(
     a_starts: np.ndarray, a_counts: np.ndarray, b_starts: np.ndarray, b_counts: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """All (a, b) index pairs between matched bucket runs, vectorised."""
+    """All (a, b) index pairs between matched bucket runs, vectorised.
+
+    Pairs come bucket by bucket, ``a`` major: each ``a`` index is paired
+    with its bucket's whole ``b`` run, so two range gathers build the lists
+    without any integer division.
+    """
 
     a_counts = np.asarray(a_counts, dtype=np.int64)
     b_counts = np.asarray(b_counts, dtype=np.int64)
-    rep = a_counts * b_counts
-    total = int(rep.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    pair_bucket = np.repeat(np.arange(rep.size, dtype=np.int64), rep)
-    within = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(rep) - rep, rep)
-    bc = b_counts[pair_bucket]
-    ai = within // bc
-    bi = within % bc
-    return a_starts[pair_bucket] + ai, b_starts[pair_bucket] + bi
+    a_pos = _gather_ranges(a_starts, a_counts)
+    run_counts = np.repeat(b_counts, a_counts)
+    b_pos = _gather_ranges(np.repeat(b_starts, a_counts), run_counts)
+    return np.repeat(a_pos, run_counts), b_pos
 
 
 # Offsets covering each unordered pair of adjacent cells exactly once
@@ -312,12 +360,16 @@ def _gilbert_edges_grid(positions: np.ndarray, radius: float) -> Tuple[np.ndarra
     grid = _CellGrid(positions, min(radius, 1.0))
     g = grid.grid_dim
     r2 = radius * radius
+    # Coordinates in grid order: candidate pairs are positions into the
+    # sorted permutation, so the gathers below stay cache-local.
+    xs = positions[grid.order, 0]
+    ys = positions[grid.order, 1]
     cx = grid.occupied // g
     cy = grid.occupied % g
     us: List[np.ndarray] = []
     vs: List[np.ndarray] = []
-    for dx, dy in _HALF_OFFSETS:
-        if dx == 0 and dy == 0:
+    for ox, oy in _HALF_OFFSETS:
+        if ox == 0 and oy == 0:
             busy = np.flatnonzero(grid.counts > 1)
             a_pos, b_pos = _cross_pairs(
                 grid.starts[busy], grid.counts[busy], grid.starts[busy], grid.counts[busy]
@@ -325,7 +377,7 @@ def _gilbert_edges_grid(positions: np.ndarray, radius: float) -> Tuple[np.ndarra
             keep = a_pos < b_pos
             a_pos, b_pos = a_pos[keep], b_pos[keep]
         else:
-            nx, ny = cx + dx, cy + dy
+            nx, ny = cx + ox, cy + oy
             valid = (nx < g) & (ny >= 0) & (ny < g)
             a_slots = np.flatnonzero(valid)
             slot, found = grid.lookup(nx[valid] * g + ny[valid])
@@ -338,12 +390,11 @@ def _gilbert_edges_grid(positions: np.ndarray, radius: float) -> Tuple[np.ndarra
             )
         if a_pos.size == 0:
             continue
-        u = grid.order[a_pos]
-        v = grid.order[b_pos]
-        deltas = positions[u] - positions[v]
-        close = (deltas ** 2).sum(axis=1) <= r2
-        us.append(u[close])
-        vs.append(v[close])
+        dx = xs[a_pos] - xs[b_pos]
+        dy = ys[a_pos] - ys[b_pos]
+        close = dx * dx + dy * dy <= r2
+        us.append(grid.order[a_pos[close]])
+        vs.append(grid.order[b_pos[close]])
     if not us:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
@@ -354,6 +405,10 @@ _SCALE_FREE_GRID_BANDS = 8
 """Radius bands (in cell units) resolved through the grid; devices with even
 larger radii are hubs that genuinely reach a large fraction of the square, so
 they fall back to a direct distance sweep."""
+
+_HUB_SWEEP_CELLS = 1 << 20
+"""Hub-to-point distances computed per hub-sweep chunk (two float64 arrays of
+this many cells, 16 MiB together)."""
 
 
 def _scale_free_edges_grid(
@@ -376,6 +431,9 @@ def _scale_free_edges_grid(
     g = grid.grid_dim
     bands = np.maximum(np.ceil(radii / cell).astype(np.int64), 1)
     grid_devices = bands <= _SCALE_FREE_GRID_BANDS
+    xs = positions[:, 0].copy()
+    ys = positions[:, 1].copy()
+    r2 = radii ** 2
     us: List[np.ndarray] = []
     vs: List[np.ndarray] = []
 
@@ -383,9 +441,9 @@ def _scale_free_edges_grid(
         group = np.flatnonzero(grid_devices & (bands == k))
         gx = grid.coords[group, 0]
         gy = grid.coords[group, 1]
-        for dx in range(-int(k), int(k) + 1):
-            for dy in range(-int(k), int(k) + 1):
-                nx, ny = gx + dx, gy + dy
+        for ox in range(-int(k), int(k) + 1):
+            for oy in range(-int(k), int(k) + 1):
+                nx, ny = gx + ox, gy + oy
                 valid = (nx >= 0) & (nx < g) & (ny >= 0) & (ny < g)
                 srcs = group[valid]
                 slot, found = grid.lookup(nx[valid] * g + ny[valid])
@@ -395,16 +453,26 @@ def _scale_free_edges_grid(
                 rep = grid.counts[slots]
                 u = np.repeat(srcs, rep)
                 v = grid.order[_gather_ranges(grid.starts[slots], rep)]
-                deltas = positions[u] - positions[v]
-                close = ((deltas ** 2).sum(axis=1) <= radii[u] ** 2) & (u != v)
+                dx = xs[u] - xs[v]
+                dy = ys[u] - ys[v]
+                close = (dx * dx + dy * dy <= r2[u]) & (u != v)
                 us.append(u[close])
                 vs.append(v[close])
 
     hubs = np.flatnonzero(~grid_devices)
-    for start in range(0, hubs.size, 64):
-        chunk = hubs[start : start + 64]
-        deltas = positions[chunk][:, None, :] - positions[None, :, :]
-        close = (deltas ** 2).sum(axis=-1) <= radii[chunk][:, None] ** 2
+    # Each hub row of the sweep holds two float64 distance arrays over all m
+    # points; sizing the chunk from m keeps that transient near 16 MiB however
+    # large the graph gets (64 hubs at m = 10^6 would need ~1 GiB).
+    per_chunk = max(1, min(64, _HUB_SWEEP_CELLS // m))
+    for start in range(0, hubs.size, per_chunk):
+        chunk = hubs[start : start + per_chunk]
+        dx = xs[chunk][:, None] - xs[None, :]
+        dy = ys[chunk][:, None] - ys[None, :]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        close = dx <= r2[chunk][:, None]
+        del dx, dy
         u_idx, v_idx = np.nonzero(close)
         u = chunk[u_idx]
         v = v_idx.astype(np.int64)
@@ -635,10 +703,11 @@ class Topology(abc.ABC):
     ) -> np.ndarray:
         """For each device, whether any of its neighbours is in ``member_ids``.
 
-        Returns a boolean array aligned with ``device_ids``.  This is the
-        multi-hop frontier primitive: :class:`~repro.core.broadcast.MultiHopBroadcast`
-        retires a relay exactly when it has no active uninformed neighbour
-        left.  Cost is ``O(sum of the devices' degrees)`` via one CSR slice.
+        Returns a boolean array aligned with ``device_ids``.  A
+        :class:`~repro.core.broadcast.MultiHopBroadcast` relay retires exactly
+        when this is false for it against the active uninformed cohort (the
+        orchestrator keeps that answer as incremental per-node counts).  Cost
+        is ``O(sum of the devices' degrees)`` via one CSR slice.
         """
 
         if isinstance(device_ids, np.ndarray):
@@ -670,25 +739,20 @@ class Topology(abc.ABC):
         message-flow question: a node outside the returned mask cannot ever
         receive ``m`` from the given sources, because every path to it is
         severed by a non-passable (terminated) node.  Cost is ``O(edges
-        touched)`` via chunked CSR expansion — no per-node Python loop.
+        touched)``: the shared BFS kernel expands each reached node once and
+        deduplicates only the still-open neighbours of every level.
         """
 
-        reached = np.zeros(self.n, dtype=bool)
-        if source_rows.size == 0:
-            return reached
-        csr = self.neighbor_csr()
-        _, nbrs = csr.expand(source_rows.astype(np.int64, copy=False))
-        nbrs = nbrs[nbrs < self.n]
-        frontier = np.unique(nbrs[passable[nbrs]])
-        reached[frontier] = True
-        while frontier.size:
-            _, nbrs = csr.expand(frontier)
-            nbrs = nbrs[nbrs < self.n]
-            nbrs = np.unique(nbrs)
-            new = nbrs[passable[nbrs] & ~reached[nbrs]]
-            reached[new] = True
-            frontier = new
-        return reached
+        open_rows = self._node_mask(passable)
+        _bfs(self.neighbor_csr(), source_rows.astype(np.int64, copy=False), open_rows)
+        return passable & ~open_rows[: self.n]
+
+    def _node_mask(self, nodes: Optional[np.ndarray] = None) -> np.ndarray:
+        """An open-row mask for :func:`_bfs`: ``nodes`` (default all) open, Alice closed."""
+
+        open_rows = np.zeros(self.n + 1, dtype=bool)
+        open_rows[: self.n] = True if nodes is None else nodes
+        return open_rows
 
     def memory_bytes(self) -> int:
         """Bytes held by the realised adjacency (0 for implicit topologies)."""
@@ -802,18 +866,9 @@ class Topology(abc.ABC):
         return cached
 
     def _compute_alice_within(self, hops: int) -> np.ndarray:
-        csr = self.neighbor_csr()
-        within = np.zeros(self.n, dtype=bool)
-        frontier = csr.row(self.n).astype(np.int64, copy=False)
-        frontier = frontier[frontier < self.n]
-        for _ in range(hops):
-            frontier = frontier[~within[frontier]]
-            if frontier.size == 0:
-                break
-            within[frontier] = True
-            _, nbrs = csr.expand(frontier)
-            frontier = np.unique(nbrs[nbrs < self.n])
-        return within
+        open_rows = self._node_mask()
+        _bfs(self.neighbor_csr(), np.array([self.n], dtype=np.int64), open_rows, levels=hops)
+        return ~open_rows[: self.n]
 
     def _compute_neighborhood_sizes(self, hops: int, cap: Optional[int] = None) -> np.ndarray:
         csr = self.neighbor_csr()
@@ -862,33 +917,19 @@ class Topology(abc.ABC):
             sizes[rows] = ball.sum(axis=1, dtype=np.int64) - 1
         return sizes
 
-    def _node_frontier_bfs(self, start_rows: np.ndarray, seen: np.ndarray) -> np.ndarray:
-        """Rows of nodes reachable from ``start_rows`` over node-node edges."""
-
-        csr = self.neighbor_csr()
-        members = [start_rows]
-        frontier = start_rows
-        while frontier.size:
-            _, nbrs = csr.expand(frontier)
-            nbrs = nbrs[nbrs < self.n]
-            nbrs = np.unique(nbrs)
-            new = nbrs[~seen[nbrs]]
-            seen[new] = True
-            members.append(new)
-            frontier = new
-        return np.concatenate(members)
-
     def connected_components(self) -> List[FrozenSet[int]]:
         """Connected components of the node-node graph (Alice excluded)."""
 
-        seen = np.zeros(self.n, dtype=bool)
+        csr = self.neighbor_csr()
+        open_rows = self._node_mask()
         components: List[FrozenSet[int]] = []
         for start in range(self.n):
-            if seen[start]:
+            if not open_rows[start]:
                 continue
-            seen[start] = True
-            rows = self._node_frontier_bfs(np.array([start], dtype=np.int64), seen)
-            components.append(frozenset(int(r) for r in rows))
+            open_rows[start] = False
+            source = np.array([start], dtype=np.int64)
+            rows = np.concatenate([source, *_bfs(csr, source, open_rows)])
+            components.append(frozenset(rows.tolist()))
         return components
 
     def largest_component_fraction(self) -> float:
@@ -906,15 +947,9 @@ class Topology(abc.ABC):
         matter how many hops relays provide.
         """
 
-        csr = self.neighbor_csr()
-        alice_nbrs = csr.row(self.n).astype(np.int64, copy=False)
-        alice_nbrs = alice_nbrs[alice_nbrs < self.n]
-        if alice_nbrs.size == 0:
-            return frozenset()
-        seen = np.zeros(self.n, dtype=bool)
-        seen[alice_nbrs] = True
-        rows = self._node_frontier_bfs(alice_nbrs, seen)
-        return frozenset(int(r) for r in rows)
+        open_rows = self._node_mask()
+        _bfs(self.neighbor_csr(), np.array([self.n], dtype=np.int64), open_rows)
+        return frozenset(np.flatnonzero(~open_rows[: self.n]).tolist())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(n={self.n})"

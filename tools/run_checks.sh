@@ -4,12 +4,13 @@
 # benchmark smoke over a representative experiment subset (delivery, the
 # E9 jamming-strategy ablation and E10 spoofing attacks, which gate the
 # burst and spoof paths, multi-hop, quiet rule), the sparse-topology and
-# mobile-jammer benchmark smokes, and the docs code-snippet smoke
-# (README / docs quickstarts must stay runnable).
+# mobile-jammer benchmark smokes, the docs code-snippet smoke
+# (README / docs quickstarts must stay runnable), and a traced perfbench
+# run of the multi-hop workload.
 #
 # Usage:
-#   tools/run_checks.sh            # tests + benchmark smoke + docs snippets
-#   tools/run_checks.sh --no-bench # tests + docs snippets (fast pre-commit check)
+#   tools/run_checks.sh            # tests + benchmark smoke + docs snippets + perfbench smoke
+#   tools/run_checks.sh --no-bench # tests + docs snippets + perfbench smoke
 #
 # Every step runs even if an earlier one fails; the script exits non-zero if
 # ANY step failed, and lists the failures at the end — so CI cannot "pass"
@@ -37,6 +38,15 @@ run_step() {
         echo "-- ${name}: FAILED (exit ${status})" >&2
         failures+=("${name}")
     fi
+}
+
+# The repo benchmark's multi-hop workload, traced: perfbench runs the batch
+# untraced and then traced and counts any case whose outcomes differ as a
+# failed operation, so this gates traced ≡ untraced on the multi-hop path.
+perfbench_multihop_smoke() {
+    python3 perfbench/run.py --workload multihop-gilbert --seed 1 --seconds 0 --trace 1 \
+        | tail -n 1 \
+        | python3 -c 'import json, sys; r = json.load(sys.stdin); print(r["failed"], "of", r["attempted"], "failed"); sys.exit(r["failed"] != 0)'
 }
 
 # The test suite must behave identically everywhere, so the runner's env
@@ -93,6 +103,8 @@ if [[ "${1:-}" != "--no-bench" ]]; then
 fi
 
 run_step "docs code snippets" python tools/run_doc_snippets.py README.md docs/architecture.md
+
+run_step "perfbench multi-hop smoke (traced ≡ untraced, 0 failed)" perfbench_multihop_smoke
 
 if ((${#failures[@]})); then
     echo
