@@ -565,12 +565,11 @@ class ReactiveDiskJammer(_PerPhaseDiskJammer):
         network = self._require_bound()
         topology = network.topology
         if self._positions is not None:
-            active = np.fromiter(
-                (node for node in context.roles.active_uninformed if node >= 0),
-                dtype=np.int64,
-            )
+            active = context.roles.active_uninformed_ids
+            active = active[active >= 0]
             if active.size:
-                # Node ids are topology rows (Alice-last convention).
-                positions = self._positions[np.sort(active)]
+                # Node ids are topology rows (Alice-last convention); the
+                # cohort is already sorted.
+                positions = self._positions[active]
                 self._center = self._step_towards(self._densest_cluster(positions))
         return topology.nodes_in_disk(self._center, self.radius)

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import FrozenSet, Optional
 
+import numpy as np
+
 from ..simulation.channel import JamTargeting
 from ..simulation.errors import ConfigurationError
 from ..simulation.phaseplan import JamPlan, PhaseContext, PhaseKind
@@ -67,19 +69,21 @@ class NUniformSplitAdversary(Adversary):
             )
         self.target_uninformed = target_uninformed
         self.start_round = start_round
-        self._victims: Optional[FrozenSet[int]] = None
+        self._victim_ids: Optional[np.ndarray] = None
 
     @property
     def victims(self) -> FrozenSet[int]:
         """The fixed victim set (empty until the first payload phase is seen)."""
 
-        return self._victims if self._victims is not None else frozenset()
+        return frozenset(() if self._victim_ids is None else self._victim_ids.tolist())
 
-    def _choose_victims(self, context: PhaseContext) -> FrozenSet[int]:
-        if self._victims is None:
-            uninformed = sorted(context.roles.active_uninformed)
-            self._victims = frozenset(uninformed[: self.target_uninformed])
-        return self._victims
+    def _choose_victims(self, context: PhaseContext) -> np.ndarray:
+        """The victims as a sorted id array: the lowest-numbered
+        ``target_uninformed`` nodes uninformed at the first attacked phase."""
+
+        if self._victim_ids is None:
+            self._victim_ids = context.roles.active_uninformed_ids[: self.target_uninformed].copy()
+        return self._victim_ids
 
     def _plan(self, context: PhaseContext, allowance: float) -> JamPlan:
         plan = context.plan
@@ -90,12 +94,12 @@ class NUniformSplitAdversary(Adversary):
             # fire while the victims are still uninformed.
             return JamPlan.idle()
         victims = self._choose_victims(context)
-        remaining_victims = victims & context.roles.active_uninformed
-        if not remaining_victims:
+        remaining_victims = victims[np.isin(victims, context.roles.active_uninformed_ids)]
+        if not remaining_victims.size:
             # Every victim has terminated (or slipped through); nothing left
             # to gain from further jamming.
             return JamPlan.idle()
         return JamPlan(
             num_jam_slots=plan.num_slots,
-            targeting=JamTargeting.only(remaining_victims),
+            targeting=JamTargeting.only(remaining_victims.tolist()),
         )

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from typing import FrozenSet, Optional, Tuple
 
+import numpy as np
+
 from ..simulation.auth import ALICE_ID
 from ..simulation.channel import JamTargeting
 from ..simulation.errors import ConfigurationError
@@ -55,10 +57,11 @@ def plan_disk_jam(
         return JamPlan.idle()
     if not context.plan.carries_payload and context.plan.kind is not PhaseKind.REQUEST:
         return JamPlan.idle()
-    active_victims = victims & context.roles.active_uninformed
+    victim_ids = np.fromiter(victims, dtype=np.int64, count=len(victims))
+    victim_active = np.isin(victim_ids, context.roles.active_uninformed_ids).any()
     if context.plan.kind is PhaseKind.REQUEST:
-        active_victims |= victims & {ALICE_ID}
-    if not active_victims:
+        victim_active = victim_active or ALICE_ID in victims
+    if not victim_active:
         return JamPlan.idle()
     return JamPlan(
         num_jam_slots=context.plan.num_slots,

@@ -131,7 +131,7 @@ class EpochBaseline(abc.ABC):
         for epoch in range(1, self.max_epoch + 1):
             plan = self.epoch_plan(epoch)
             roles = PhaseRoles(
-                active_uninformed=state.active_uninformed(),
+                active_uninformed=state.active_uninformed_array(),
                 alice_active=True,
             )
             context = PhaseContext(
@@ -153,7 +153,7 @@ class EpochBaseline(abc.ABC):
             clock.advance(plan.num_slots)
             clock.end_phase()
 
-            if result.newly_informed:
+            if result.newly_informed.size:
                 state.mark_informed(result.newly_informed, slot=clock.now)
                 # Baseline receivers stop as soon as they hold the message.
                 state.terminate_informed(result.newly_informed, epoch)
@@ -171,13 +171,13 @@ class EpochBaseline(abc.ABC):
                 )
             )
 
-            if not state.active_uninformed():
+            if not state.active_uninformed_array().size:
                 terminated_by_cap = False
                 break
 
         # The oracle stops Alice the moment the last node is informed.
         state.terminate_alice(min(self.max_epoch, log.phases[-1].round_index if log.phases else 0))
-        state.terminate_uninformed(state.active_uninformed(), self.max_epoch)
+        state.terminate_uninformed(state.active_uninformed_array(), self.max_epoch)
         self.final_state = state
 
         delivery = DeliveryStats(

@@ -32,7 +32,14 @@ from ..simulation.events import EventLog, PhaseRecord
 from ..simulation.fastengine import PhaseEngine
 from ..simulation.metrics import CostBreakdown, DeliveryStats
 from ..simulation.network import Network
-from ..simulation.phaseplan import PhaseContext, PhaseKind, PhasePlan, PhaseResult, PhaseRoles
+from ..simulation.phaseplan import (
+    EMPTY_IDS,
+    PhaseContext,
+    PhaseKind,
+    PhasePlan,
+    PhaseResult,
+    PhaseRoles,
+)
 from ..simulation.topology import Topology
 from ..observability.trace import NULL_RECORDER, TraceEvent, TraceRecorder
 from .alice import AlicePolicy
@@ -47,12 +54,6 @@ from .termination import apply_request_phase
 __all__ = ["EpsilonBroadcast", "MultiHopBroadcast"]
 
 EngineSpec = Union[str, SlotEngine, PhaseEngine]
-
-# Shared empty role cohort: roles are built every phase, so the common empty
-# arrays (no relays, no decoys) are allocated once.
-_EMPTY_IDS = np.zeros(0, dtype=np.int64)
-_EMPTY_IDS.setflags(write=False)
-
 
 class EpsilonBroadcast:
     """Run the ε-Broadcast protocol of Gilbert & Young against an adversary.
@@ -267,12 +268,12 @@ class EpsilonBroadcast:
     def _roles_for(self, plan: PhasePlan, state: ProtocolState) -> PhaseRoles:
         active_uninformed = state.active_uninformed_array()
         relays = (
-            state.active_informed_array() if plan.kind is PhaseKind.PROPAGATION else _EMPTY_IDS
+            state.active_informed_array() if plan.kind is PhaseKind.PROPAGATION else EMPTY_IDS
         )
         decoy_senders = (
             active_uninformed
             if (self.decoy_traffic and plan.kind in (PhaseKind.INFORM, PhaseKind.PROPAGATION))
-            else _EMPTY_IDS
+            else EMPTY_IDS
         )
         return PhaseRoles(
             active_uninformed=active_uninformed,
@@ -346,7 +347,7 @@ class EpsilonBroadcast:
     ) -> None:
         """Apply protocol state transitions implied by a phase result."""
 
-        if result.newly_informed:
+        if result.newly_informed.size:
             state.mark_informed(result.newly_informed, slot=clock.now)
 
         if plan.kind is PhaseKind.PROPAGATION:
@@ -615,7 +616,7 @@ class MultiHopBroadcast(EpsilonBroadcast):
             super()._apply_result(plan, roles, result, state, round_index, clock)
             return
 
-        if result.newly_informed:
+        if result.newly_informed.size:
             state.mark_informed(result.newly_informed, slot=clock.now)
 
         if plan.kind is PhaseKind.REQUEST:

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from ..simulation.phaseplan import clip_probability
 from .params import ProtocolParameters
 
@@ -131,9 +133,8 @@ class ReceiverPolicy:
     def termination_threshold(self) -> float:
         """A node terminates when it hears at most this many noisy slots.
 
-        Memoised (pure function of the immutable parameters): the per-node
-        termination test consults it for every active node in every request
-        phase.
+        Memoised (pure function of the immutable parameters): the quiet
+        test consults it in every request phase.
         """
 
         cached = getattr(self, "_termination_threshold", None)
@@ -175,9 +176,8 @@ class ReceiverPolicy:
         """The first round in which a node's termination test may fire.
 
         Memoised: the value is a pure function of the (immutable) policy
-        parameters, and :meth:`should_terminate` consults it once per active
-        node per request phase — recomputing the round scan n times per phase
-        dominated large-n request phases before the cache.
+        parameters, and the quiet test (:meth:`quiet_mask`,
+        :meth:`should_terminate`) consults it in every request phase.
         """
 
         cached = getattr(self, "_earliest_termination_round", None)
@@ -194,6 +194,18 @@ class ReceiverPolicy:
 
         if round_index < self.earliest_termination_round():
             return False
+        return noisy_slots_heard <= self.termination_threshold()
+
+    def quiet_mask(self, noisy_slots_heard: np.ndarray, round_index: int) -> np.ndarray:
+        """:meth:`should_terminate` over a whole cohort's noisy-slot counts.
+
+        One comparison per request phase instead of one Python call per
+        node: nobody quits before :meth:`earliest_termination_round`, and
+        from then on exactly the nodes that heard at most the threshold do.
+        """
+
+        if round_index < self.earliest_termination_round():
+            return np.zeros(noisy_slots_heard.shape, dtype=bool)
         return noisy_slots_heard <= self.termination_threshold()
 
     # ------------------------------------------------------------------ #

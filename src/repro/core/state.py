@@ -20,12 +20,18 @@ transition counter — repeated reads between transitions return the *same*
 array object, which the relay-retirement hot path relies on.  Observers
 read the arrays themselves (``informed_mask()``, ``informed_at_slot``,
 ``terminated_at_round``) through read-only views.
+
+The interface is arrays end to end: transitions take any iterable of ids
+(an ``int64`` array passes through without a copy), and
+:meth:`ProtocolState.mark_informed` returns the ids that changed as a
+sorted ``int64`` array when its input is sorted (the engines'
+``PhaseResult.newly_informed`` always is).  No query builds a Python set.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import FrozenSet, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -84,8 +90,7 @@ class ProtocolState:
         "_terminated_at_round",
         "_version",
         "_cache_version",
-        "_cached_uninformed",
-        "_cached_informed",
+        "_cached_ids",
     )
 
     def __init__(self, n: int) -> None:
@@ -102,11 +107,11 @@ class ProtocolState:
         self._codes = np.zeros(n, dtype=np.int8)
         self._informed_at_slot = np.full(n, -1, dtype=np.int64)
         self._terminated_at_round = np.full(n, -1, dtype=np.int64)
-        # Transition counter invalidating the cached active-id arrays.
+        # Transition counter invalidating the cached active-id arrays (status
+        # code -> sorted ids, each built on first use after a transition).
         self._version = 0
         self._cache_version = -1
-        self._cached_uninformed: Optional[np.ndarray] = None
-        self._cached_informed: Optional[np.ndarray] = None
+        self._cached_ids: Dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------ #
     # Queries                                                             #
@@ -132,50 +137,40 @@ class ProtocolState:
     def status(self, node_id: int) -> NodeStatus:
         return _CODE_TO_STATUS[int(self._codes[node_id])]
 
-    def _refresh_cache(self) -> None:
+    def _ids_with(self, code: int) -> np.ndarray:
         if self._cache_version != self._version:
+            self._cached_ids = {}
+            self._cache_version = self._version
+        ids = self._cached_ids.get(code)
+        if ids is None:
             # np.flatnonzero returns ascending ids — already sorted, so
             # downstream termination order is deterministic.
-            self._cached_uninformed = np.flatnonzero(self._codes == _UNINFORMED)
-            self._cached_informed = np.flatnonzero(self._codes == _INFORMED)
-            self._cached_uninformed.setflags(write=False)
-            self._cached_informed.setflags(write=False)
-            self._cache_version = self._version
-
-    def active_uninformed(self) -> FrozenSet[int]:
-        """Nodes still executing the protocol without the message."""
-
-        self._refresh_cache()
-        return frozenset(self._cached_uninformed.tolist())
-
-    def active_informed(self) -> FrozenSet[int]:
-        """Nodes holding the message that have not yet terminated (relays)."""
-
-        self._refresh_cache()
-        return frozenset(self._cached_informed.tolist())
+            ids = np.flatnonzero(self._codes == code)
+            ids.setflags(write=False)
+            self._cached_ids[code] = ids
+        return ids
 
     def active_uninformed_array(self) -> np.ndarray:
-        """:meth:`active_uninformed` as a sorted read-only ``int64`` array.
+        """Nodes still executing the protocol without the message.
 
-        The vectorised view the quiet-rule machinery indexes budget and
-        streak arrays with.  Cached between transitions: repeated calls
-        return the *same* array object until the state mutates, so hot
-        paths can call this every phase without re-materialising sets.
+        A sorted read-only ``int64`` array: the phase cohort the engines
+        serve and the quiet-rule machinery indexes budget and streak arrays
+        with.  Cached between transitions: repeated calls return the *same*
+        array object until the state mutates, so hot paths can call this
+        every phase for free.
         """
 
-        self._refresh_cache()
-        return self._cached_uninformed
+        return self._ids_with(_UNINFORMED)
 
     def active_informed_array(self) -> np.ndarray:
-        """:meth:`active_informed` as a sorted read-only ``int64`` array.
+        """Nodes holding the message that have not yet terminated (relays).
 
         Same caching contract as :meth:`active_uninformed_array`; this is
         the relay frontier the multi-hop orchestrator serves to the engine
-        and to relay retirement without rebuilding sorted sets.
+        and to relay retirement.
         """
 
-        self._refresh_cache()
-        return self._cached_informed
+        return self._ids_with(_INFORMED)
 
     def record_unserved_request_phase(self, node_ids: np.ndarray) -> np.ndarray:
         """Bump the quiet streak of every node in ``node_ids``; returns the array.
@@ -226,78 +221,91 @@ class ProtocolState:
     # Transitions                                                         #
     # ------------------------------------------------------------------ #
 
-    def _as_id_array(self, node_ids: Iterable[int]) -> np.ndarray:
+    def _move(
+        self,
+        node_ids: Iterable[int],
+        source: int,
+        target: int,
+        stamp: np.ndarray,
+        value: int,
+        violation: str,
+    ) -> np.ndarray:
+        """Move the ids whose status is ``source`` to ``target``.
+
+        Ids already at ``target`` are left alone (a duplicate copy of ``m``,
+        a repeated termination); any other status is a protocol violation,
+        reported for the first offending id.  Returns the ids that moved —
+        the input array itself when every id moves, the common case — and
+        writes ``value`` into their ``stamp`` entries.
+        """
+
         ids = np.asarray(
             node_ids if isinstance(node_ids, np.ndarray) else list(node_ids), dtype=np.int64
         )
-        if ids.size and (ids.min() < 0 or ids.max() >= self.n):
+        if ids.size == 0:
+            return ids
+        if ids.min() < 0 or ids.max() >= self.n:
             bad = ids[(ids < 0) | (ids >= self.n)][0]
             raise ProtocolViolationError(f"unknown node id {bad}")
-        return ids
-
-    def mark_informed(self, node_ids: Iterable[int], slot: int) -> Set[int]:
-        """Transition ``UNINFORMED -> INFORMED``; returns the ids that changed."""
-
-        ids = self._as_id_array(node_ids)
-        if ids.size == 0:
-            return set()
         codes = self._codes[ids]
-        terminated = ids[codes >= _TERM_INFORMED]
-        if terminated.size:
-            node_id = int(terminated[0])
-            raise ProtocolViolationError(
-                f"node {node_id} received m after terminating ({self.status(node_id).value})"
-            )
-        # Receiving a duplicate copy (already INFORMED) is harmless.
-        fresh = ids[codes == _UNINFORMED]
-        if fresh.size == 0:
-            return set()
-        self._codes[fresh] = _INFORMED
-        self._informed_at_slot[fresh] = slot
-        self._version += 1
-        return set(fresh.tolist())
+        fresh = codes == source
+        if fresh.all():
+            moved = ids
+        else:
+            illegal = ~fresh & (codes != target)
+            if illegal.any():
+                node_id = int(ids[np.argmax(illegal)])
+                raise ProtocolViolationError(
+                    violation.format(node=node_id, status=self.status(node_id).value)
+                )
+            moved = ids[fresh]
+        if moved.size:
+            self._codes[moved] = target
+            stamp[moved] = value
+            self._version += 1
+        return moved
+
+    def mark_informed(self, node_ids: Iterable[int], slot: int) -> np.ndarray:
+        """Transition ``UNINFORMED -> INFORMED``; returns the ids that changed.
+
+        The returned ``int64`` array keeps the input's order (so a sorted
+        input, such as ``PhaseResult.newly_informed``, gives a sorted
+        result) and leaves out ids that were already informed; when no id
+        is left out it is the input array itself.
+        """
+
+        return self._move(
+            node_ids,
+            _UNINFORMED,
+            _INFORMED,
+            self._informed_at_slot,
+            slot,
+            "node {node} received m after terminating ({status})",
+        )
 
     def terminate_informed(self, node_ids: Iterable[int], round_index: int) -> None:
         """Transition ``INFORMED -> TERMINATED_INFORMED``."""
 
-        ids = self._as_id_array(node_ids)
-        if ids.size == 0:
-            return
-        codes = self._codes[ids]
-        illegal = ids[(codes == _UNINFORMED) | (codes == _TERM_UNINFORMED)]
-        if illegal.size:
-            node_id = int(illegal[0])
-            raise ProtocolViolationError(
-                f"cannot terminate node {node_id} as informed from status "
-                f"{self.status(node_id).value}"
-            )
-        fresh = ids[codes == _INFORMED]
-        if fresh.size == 0:
-            return
-        self._codes[fresh] = _TERM_INFORMED
-        self._terminated_at_round[fresh] = round_index
-        self._version += 1
+        self._move(
+            node_ids,
+            _INFORMED,
+            _TERM_INFORMED,
+            self._terminated_at_round,
+            round_index,
+            "cannot terminate node {node} as informed from status {status}",
+        )
 
     def terminate_uninformed(self, node_ids: Iterable[int], round_index: int) -> None:
         """Transition ``UNINFORMED -> TERMINATED_UNINFORMED`` (the ε-loss path)."""
 
-        ids = self._as_id_array(node_ids)
-        if ids.size == 0:
-            return
-        codes = self._codes[ids]
-        illegal = ids[(codes == _INFORMED) | (codes == _TERM_INFORMED)]
-        if illegal.size:
-            node_id = int(illegal[0])
-            raise ProtocolViolationError(
-                f"cannot terminate node {node_id} as uninformed from status "
-                f"{self.status(node_id).value}"
-            )
-        fresh = ids[codes == _UNINFORMED]
-        if fresh.size == 0:
-            return
-        self._codes[fresh] = _TERM_UNINFORMED
-        self._terminated_at_round[fresh] = round_index
-        self._version += 1
+        self._move(
+            node_ids,
+            _UNINFORMED,
+            _TERM_UNINFORMED,
+            self._terminated_at_round,
+            round_index,
+            "cannot terminate node {node} as uninformed from status {status}",
+        )
 
     def terminate_alice(self, round_index: int) -> None:
         if not self.alice_terminated:

@@ -16,9 +16,10 @@ testable in isolation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Set
 
-from ..simulation.phaseplan import PhaseResult
+import numpy as np
+
+from ..simulation.phaseplan import EMPTY_IDS, PhaseResult
 from .alice import AlicePolicy
 from .receiver import ReceiverPolicy
 from .state import ProtocolState
@@ -26,12 +27,16 @@ from .state import ProtocolState
 __all__ = ["RequestPhaseDecision", "apply_request_phase"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RequestPhaseDecision:
-    """The outcome of applying the termination rules after a request phase."""
+    """The outcome of applying the termination rules after a request phase.
+
+    ``terminated_nodes`` is the sorted ``int64`` array of the nodes that
+    gave up (uninformed) in this phase.
+    """
 
     round_index: int
-    terminated_nodes: FrozenSet[int]
+    terminated_nodes: np.ndarray
     alice_terminated: bool
     alice_noisy_heard: int
     threshold: float
@@ -40,7 +45,7 @@ class RequestPhaseDecision:
 
     @property
     def any_terminated(self) -> bool:
-        return self.alice_terminated or bool(self.terminated_nodes)
+        return self.alice_terminated or bool(self.terminated_nodes.size)
 
 
 def apply_request_phase(
@@ -59,6 +64,12 @@ def apply_request_phase(
     hold the message have already terminated at the end of the propagation
     phase, so they take no part here.
 
+    The node-side test is one mask over the cohort
+    (:meth:`~repro.core.receiver.ReceiverPolicy.quiet_mask`).  A request
+    phase informs nobody, so the state's active-uninformed array is the
+    phase's cohort and ``result.node_noisy_heard`` is read by position in
+    it; an empty ``node_noisy_heard`` means every node heard nothing.
+
     ``node_channel_test=False`` skips the node-side quiet test while keeping
     Alice's: the global threshold presumes a Θ(n) audible population, and the
     multi-hop orchestrator disables it when a
@@ -67,18 +78,22 @@ def apply_request_phase(
     """
 
     threshold = receiver_policy.termination_threshold()
-    terminating: Set[int] = set()
+    terminating = EMPTY_IDS
     nodes_evaluated = 0
     if node_channel_test:
-        # Served from the cached active-id array; the frozenset accessors are
-        # off the hot path (quiet-rule runs skip this branch entirely).
         active = state.active_uninformed_array()
         nodes_evaluated = int(active.size)
-        for node_id in active.tolist():
-            heard = result.node_noisy_heard.get(node_id, 0)
-            if receiver_policy.should_terminate(heard, round_index):
-                terminating.add(node_id)
-    if terminating:
+        heard = result.node_noisy_heard
+        if heard.size == 0:
+            if receiver_policy.should_terminate(0, round_index):
+                terminating = active
+        elif heard.shape != active.shape:
+            raise ValueError(
+                f"node_noisy_heard has {heard.size} entries for a cohort of {active.size}"
+            )
+        else:
+            terminating = active[receiver_policy.quiet_mask(heard, round_index)]
+    if terminating.size:
         state.terminate_uninformed(terminating, round_index)
 
     alice_terminates = False
@@ -89,7 +104,7 @@ def apply_request_phase(
 
     return RequestPhaseDecision(
         round_index=round_index,
-        terminated_nodes=frozenset(terminating),
+        terminated_nodes=terminating,
         alice_terminated=alice_terminates,
         alice_noisy_heard=result.alice_noisy_heard,
         threshold=threshold,

@@ -17,7 +17,7 @@ multi-hop statistical-equivalence tests validate the fast engine against.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import List, Set
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .errors import SimulationError
 from .jamming import materialize_jam_slots, materialize_spoof_slots
 from .messages import Message, MessageKind, make_decoy, make_nack, make_payload, make_spoof
 from .network import Network
-from .phaseplan import JamPlan, PhaseKind, PhasePlan, PhaseResult, PhaseRoles
+from .phaseplan import EMPTY_IDS, JamPlan, PhasePlan, PhaseResult, PhaseRoles, zero_counts
 from ..observability.trace import NULL_RECORDER, TraceRecorder, engine_event
 
 __all__ = ["SlotEngine"]
@@ -79,7 +79,11 @@ class SlotEngine:
         s = plan.num_slots
         if s == 0:
             result = PhaseResult(
-                plan=plan, newly_informed=frozenset(), jammed_slots=0, adversary_spend=0.0
+                plan=plan,
+                newly_informed=EMPTY_IDS,
+                jammed_slots=0,
+                adversary_spend=0.0,
+                node_noisy_heard=zero_counts(roles.active_uninformed_ids.size),
             )
             if self.recorder.enabled:
                 self.recorder.record(engine_event("empty", result))
@@ -87,7 +91,8 @@ class SlotEngine:
 
         payload = make_payload(ALICE_ID, network.message_payload, network.message_signature)
 
-        active_uninformed: Set[int] = set(roles.active_uninformed_ids.tolist())
+        cohort = roles.active_uninformed_ids.tolist()
+        active_uninformed: Set[int] = set(cohort)
         relays = roles.relay_ids.tolist()
         decoy_senders = roles.decoy_ids.tolist()
 
@@ -113,10 +118,11 @@ class SlotEngine:
         reactive_jams_remaining = jam_plan.num_jam_slots if reactive else 0
 
         newly_informed: Set[int] = set()
-        # Sorted so the mapping's insertion order (observable through
-        # PhaseResult.node_noisy_heard and any trace that serialises it) is a
-        # function of the cohort's *contents*, not the set's hash layout.
-        node_noisy: Dict[int, int] = {u: 0 for u in sorted(active_uninformed)}
+        # Noisy-slot tallies by cohort position (PhaseResult.node_noisy_heard
+        # is aligned with roles.active_uninformed_ids); only cohort members
+        # ever listen.
+        cohort_position = {node_id: j for j, node_id in enumerate(cohort)}
+        node_noisy = [0] * len(cohort)
         alice_noisy = 0
         alice_send_slots = 0
         alice_listen_slots = 0
@@ -270,20 +276,20 @@ class SlotEngine:
                         continue
                     # Anything else heard (nacks, decoys, spoofs) counts as a
                     # noisy slot for the request-phase rule.
-                    node_noisy[listener_id] = node_noisy.get(listener_id, 0) + 1
+                    node_noisy[cohort_position[listener_id]] += 1
                 elif observation.is_noisy:
-                    node_noisy[listener_id] = node_noisy.get(listener_id, 0) + 1
+                    node_noisy[cohort_position[listener_id]] += 1
 
             if delivered_this_slot:
                 delivery_slots += 1
 
         result = PhaseResult(
             plan=plan,
-            newly_informed=frozenset(newly_informed),
+            newly_informed=np.array(sorted(newly_informed), dtype=np.int64),
             jammed_slots=jammed_slots,
             adversary_spend=adversary_spend,
             alice_noisy_heard=alice_noisy,
-            node_noisy_heard=node_noisy,
+            node_noisy_heard=np.array(node_noisy, dtype=np.int64),
             delivery_slots=delivery_slots,
             busy_slots=busy_slots,
             alice_send_slots=alice_send_slots,

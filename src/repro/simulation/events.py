@@ -78,7 +78,7 @@ class PhaseRecord:
             step=plan.step,
             num_slots=plan.num_slots,
             start_slot=start_slot,
-            newly_informed=len(result.newly_informed),
+            newly_informed=int(result.newly_informed.size),
             informed_total=informed + terminated_informed,
             frontier=informed,
             active_uninformed=uninformed,
@@ -92,7 +92,7 @@ class PhaseRecord:
             alice_cost=alice_cost,
             nodes_cost=nodes_cost,
             alice_noisy_heard=result.alice_noisy_heard,
-            request_noisy_total=float(sum(result.node_noisy_heard.values())),
+            request_noisy_total=float(result.node_noisy_heard.sum()),
         )
 
     @property

@@ -61,7 +61,7 @@ before informed listeners fall silent.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Optional
 
 import numpy as np
 
@@ -69,7 +69,15 @@ from .auth import ALICE_ID
 from .channel import JamMode
 from .jamming import materialize_jam_slots, materialize_spoof_slots
 from .network import Network
-from .phaseplan import JamPlan, PhaseKind, PhasePlan, PhaseResult, PhaseRoles
+from .phaseplan import (
+    EMPTY_IDS,
+    JamPlan,
+    PhaseKind,
+    PhasePlan,
+    PhaseResult,
+    PhaseRoles,
+    zero_counts,
+)
 from ..observability.trace import NULL_RECORDER, TraceRecorder, engine_event
 
 __all__ = ["PhaseEngine"]
@@ -140,7 +148,11 @@ class PhaseEngine:
         s = plan.num_slots
         if s == 0:
             result = PhaseResult(
-                plan=plan, newly_informed=frozenset(), jammed_slots=0, adversary_spend=0.0
+                plan=plan,
+                newly_informed=EMPTY_IDS,
+                jammed_slots=0,
+                adversary_spend=0.0,
+                node_noisy_heard=zero_counts(roles.active_uninformed_ids.size),
             )
             if self.recorder.enabled:
                 self.recorder.record(engine_event("empty", result))
@@ -210,7 +222,7 @@ class PhaseEngine:
             else np.zeros(uninformed.size, dtype=bool)
         )
 
-        newly_informed: Set[int] = set()
+        newly_informed = EMPTY_IDS
         informed_mask: np.ndarray | None = None
         good_per_node: np.ndarray | None = None
         if plan.carries_payload and uninformed.size:
@@ -219,7 +231,7 @@ class PhaseEngine:
                 good_per_node = np.where(victim, good_when_victim, good_unjammed)
                 p_informed = 1.0 - np.power(1.0 - p_listen, good_per_node)
                 informed_mask = rng.random(uninformed.size) < p_informed
-                newly_informed = set(uninformed[informed_mask].tolist())
+                newly_informed = uninformed[informed_mask]
 
         # ------------------------------------------------------------------ #
         # 4. Costs                                                            #
@@ -239,7 +251,7 @@ class PhaseEngine:
             if alice_listen_slots:
                 ledger.charge_bulk(ledger.alice, float(alice_listen_slots))
 
-        node_noisy: Dict[int, int] = {}
+        node_noisy = zero_counts(uninformed.size)
         jam_victims = 0
         if uninformed.size:
             jam_victims = int(victim.sum())
@@ -268,7 +280,7 @@ class PhaseEngine:
             # Listening and nack sends: one vector charge over the cohort.
             ledger.charge_many(uninformed, listen_cost + nack_cost)
             if plan.kind is PhaseKind.REQUEST:
-                node_noisy = dict(zip(uninformed.tolist(), heard.tolist()))
+                node_noisy = heard
 
         if relays.size and plan.relay_send_prob > 0:
             relay_cost = rng.binomial(s, plan.relay_send_prob, size=relays.size)
@@ -280,7 +292,7 @@ class PhaseEngine:
 
         result = PhaseResult(
             plan=plan,
-            newly_informed=frozenset(newly_informed),
+            newly_informed=newly_informed,
             jammed_slots=jammed_slots,
             adversary_spend=adversary_spend,
             alice_noisy_heard=alice_noisy,
@@ -440,7 +452,7 @@ class PhaseEngine:
                 )
             )
 
-            newly_informed: Set[int] = set()
+            newly_informed = EMPTY_IDS
             delivery_slots = 0
             informed_at = np.full(num_u, -1, dtype=np.int64)
             clean_keys = np.empty(0, dtype=np.int64)
@@ -470,7 +482,7 @@ class PhaseEngine:
                     first_pos, first_index = np.unique(heard_pos, return_index=True)
                     first_slot = heard_slot[first_index]
                     informed_at[first_pos] = first_slot
-                    newly_informed = set(int(x) for x in uninformed[first_pos])
+                    newly_informed = uninformed[first_pos]
                     delivery_slots = int(np.unique(first_slot).size)
 
             informed_mask = informed_at >= 0
@@ -494,7 +506,7 @@ class PhaseEngine:
         # ------------------------------------------------------------------ #
         # 5. Listener costs and request-phase noise counts                   #
         # ------------------------------------------------------------------ #
-        node_noisy: Dict[int, int] = {}
+        node_noisy = zero_counts(num_u)
         if num_u:
             # Every surviving nack and own send lies in its sender's window.
             nack_cost = np.bincount(nack_idx, minlength=num_u)
@@ -545,8 +557,7 @@ class PhaseEngine:
                     if audible_keys.size:
                         own_noisy |= np.isin(own_keys, audible_keys)
                     n_noisy = n_noisy - np.bincount(own_pos[own_noisy], minlength=num_u)
-                heard_noisy = rng.binomial(np.maximum(n_noisy, 0), p_listen)
-                node_noisy = dict(zip(uninformed.tolist(), heard_noisy.tolist()))
+                node_noisy = rng.binomial(np.maximum(n_noisy, 0), p_listen)
 
             ledger.charge_many(uninformed, listen_cost + nack_cost)
 
@@ -586,7 +597,7 @@ class PhaseEngine:
 
         result = PhaseResult(
             plan=plan,
-            newly_informed=frozenset(newly_informed),
+            newly_informed=newly_informed,
             jammed_slots=jammed_slots,
             adversary_spend=adversary_spend,
             alice_noisy_heard=alice_noisy,

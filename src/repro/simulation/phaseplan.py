@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import FrozenSet, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
 
@@ -34,6 +34,8 @@ __all__ = [
     "PhaseContext",
     "JamPlan",
     "PhaseResult",
+    "EMPTY_IDS",
+    "zero_counts",
     "AdversaryStrategy",
     "clip_probability",
 ]
@@ -129,6 +131,26 @@ class PhasePlan:
         return self.alice_send_prob > 0.0 or self.relay_send_prob > 0.0
 
 
+EMPTY_IDS = np.zeros(0, dtype=np.int64)
+EMPTY_IDS.setflags(write=False)
+"""The shared read-only empty id array (no relays, nobody informed, ...)."""
+
+
+_ZERO_COUNT = np.zeros(1, dtype=np.int64)
+_ZERO_COUNT.setflags(write=False)
+
+
+def zero_counts(size: int) -> np.ndarray:
+    """``size`` zero ``int64`` counts that occupy no memory.
+
+    The ``node_noisy_heard`` of a phase that counted no noise: a read-only
+    zero-stride view.  Adversaries keep every phase's result for the whole
+    run, so an allocated array here would cost O(cohort) memory per phase.
+    """
+
+    return np.broadcast_to(_ZERO_COUNT, (size,))
+
+
 def _as_sorted_ids(ids: "Sequence[int] | FrozenSet[int] | np.ndarray") -> np.ndarray:
     """Canonicalise a role cohort into a sorted unique ``int64`` array.
 
@@ -150,36 +172,30 @@ def _as_sorted_ids(ids: "Sequence[int] | FrozenSet[int] | np.ndarray") -> np.nda
 class PhaseRoles:
     """Which devices play which role during one phase.
 
-    Backed by sorted ``int64`` id arrays (``active_uninformed_ids``,
-    ``relay_ids``, ``decoy_ids``) that the vectorised engine consumes
-    directly; the historical frozenset attributes (``active_uninformed``,
-    ``relays``, ``decoy_senders``) are materialised lazily for adversaries
-    and tests that want set semantics.
+    Every cohort is a sorted, unique ``int64`` id array — the form the
+    engines index with and the adversaries test membership against
+    (``np.isin`` / ``np.intersect1d``).  The constructor accepts any
+    iterable of ids and canonicalises it; arrays that are already sorted
+    and unique (the cached views of
+    :class:`~repro.core.state.ProtocolState`) pass through without a copy.
 
     Attributes
     ----------
-    active_uninformed:
+    active_uninformed_ids:
         Correct node ids that are still active and have not received ``m``.
-    relays:
+        :attr:`PhaseResult.node_noisy_heard` is aligned with this array.
+    relay_ids:
         Correct node ids that received ``m`` in the immediately preceding
         phase (or propagation step) and will relay it during this phase.
-    decoy_senders:
+    decoy_ids:
         Correct node ids that generate decoy traffic (§4.1); usually equal to
-        ``active_uninformed`` in the reactive-tolerant variant, empty
+        ``active_uninformed_ids`` in the reactive-tolerant variant, empty
         otherwise.
     alice_active:
         Whether Alice is still executing the protocol.
     """
 
-    __slots__ = (
-        "active_uninformed_ids",
-        "relay_ids",
-        "decoy_ids",
-        "alice_active",
-        "_uninformed_set",
-        "_relay_set",
-        "_decoy_set",
-    )
+    __slots__ = ("active_uninformed_ids", "relay_ids", "decoy_ids", "alice_active")
 
     def __init__(
         self,
@@ -192,27 +208,6 @@ class PhaseRoles:
         self.relay_ids = _as_sorted_ids(relays)
         self.decoy_ids = _as_sorted_ids(decoy_senders)
         self.alice_active = alice_active
-        self._uninformed_set: Optional[FrozenSet[int]] = None
-        self._relay_set: Optional[FrozenSet[int]] = None
-        self._decoy_set: Optional[FrozenSet[int]] = None
-
-    @property
-    def active_uninformed(self) -> FrozenSet[int]:
-        if self._uninformed_set is None:
-            self._uninformed_set = frozenset(self.active_uninformed_ids.tolist())
-        return self._uninformed_set
-
-    @property
-    def relays(self) -> FrozenSet[int]:
-        if self._relay_set is None:
-            self._relay_set = frozenset(self.relay_ids.tolist())
-        return self._relay_set
-
-    @property
-    def decoy_senders(self) -> FrozenSet[int]:
-        if self._decoy_set is None:
-            self._decoy_set = frozenset(self.decoy_ids.tolist())
-        return self._decoy_set
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PhaseRoles):
@@ -277,7 +272,7 @@ class PhaseContext:
 
     @property
     def num_active_uninformed(self) -> int:
-        return len(self.roles.active_uninformed)
+        return int(self.roles.active_uninformed_ids.size)
 
 
 @dataclass(frozen=True)
@@ -323,21 +318,35 @@ class JamPlan:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseResult:
     """What happened during one executed phase.
 
     The engines charge energy ledgers directly; the result carries the
     protocol-visible consequences (who got informed, what the request-phase
     listeners heard) plus channel-level statistics for reporting.
+
+    Both per-node fields are arrays, so applying a phase to the protocol
+    state is mask arithmetic with no per-node Python:
+
+    * ``newly_informed`` — the node ids that received ``m``, a sorted,
+      unique ``int64`` array drawn from the phase's
+      ``roles.active_uninformed_ids``;
+    * ``node_noisy_heard`` — an ``int64`` array aligned with
+      ``roles.active_uninformed_ids``: entry ``j`` is how many noisy slots
+      the ``j``-th cohort member heard.  The fast engine measures it in
+      request phases only and reports :func:`zero_counts` elsewhere; an
+      empty array means no listener heard anything.
+
+    Equality is identity: arrays have no boolean ``==``.
     """
 
     plan: PhasePlan
-    newly_informed: FrozenSet[int]
+    newly_informed: np.ndarray
     jammed_slots: int
     adversary_spend: float
     alice_noisy_heard: int = 0
-    node_noisy_heard: Dict[int, int] = field(default_factory=dict)
+    node_noisy_heard: np.ndarray = field(default_factory=lambda: EMPTY_IDS)
     delivery_slots: int = 0
     busy_slots: int = 0
     alice_send_slots: int = 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.adversary import (
@@ -55,7 +56,7 @@ def make_context(kind=PhaseKind.INFORM, num_slots=256, round_index=5, remaining=
 def fake_result(context, spend):
     return PhaseResult(
         plan=context.plan,
-        newly_informed=frozenset(),
+        newly_informed=np.zeros(0, dtype=np.int64),
         jammed_slots=int(spend),
         adversary_spend=float(spend),
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import ProtocolParameters, ScheduleBuilder
@@ -15,23 +16,23 @@ from repro.simulation import PhaseKind, PhasePlan, PhaseResult, ProtocolViolatio
 class TestProtocolState:
     def test_initial_state_all_uninformed(self):
         state = ProtocolState(5)
-        assert state.active_uninformed() == frozenset(range(5))
+        assert np.array_equal(state.active_uninformed_array(), np.arange(5))
         assert state.informed_count() == 0
         assert not state.everyone_done()
 
     def test_mark_informed_transitions(self):
         state = ProtocolState(5)
         changed = state.mark_informed([1, 3], slot=10)
-        assert changed == {1, 3}
+        assert changed.dtype == np.int64 and changed.tolist() == [1, 3]
         assert state.status(1) is NodeStatus.INFORMED
-        assert state.active_informed() == frozenset({1, 3})
+        assert state.active_informed_array().tolist() == [1, 3]
         assert state.informed_at_slot[1] == 10
         assert state.informed_at_slot[0] == -1
 
     def test_duplicate_inform_is_harmless(self):
         state = ProtocolState(5)
         state.mark_informed([1], slot=1)
-        assert state.mark_informed([1], slot=2) == set()
+        assert state.mark_informed([1], slot=2).size == 0
 
     def test_unknown_node_rejected(self):
         state = ProtocolState(3)
@@ -139,16 +140,19 @@ class TestRequestPhaseTermination:
         return AlicePolicy(params, n), ReceiverPolicy(params, n)
 
     def make_result(self, n, node_noise, alice_noise, round_index):
+        """``node_noise`` lists the noisy slots heard by each active
+        uninformed node, in cohort (ascending id) order."""
+
         plan = PhasePlan(
             name="request", kind=PhaseKind.REQUEST, round_index=round_index, num_slots=1024
         )
         return PhaseResult(
             plan=plan,
-            newly_informed=frozenset(),
+            newly_informed=np.zeros(0, dtype=np.int64),
             jammed_slots=0,
             adversary_spend=0.0,
             alice_noisy_heard=alice_noise,
-            node_noisy_heard=node_noise,
+            node_noisy_heard=np.asarray(node_noise, dtype=np.int64),
         )
 
     def test_quiet_phase_terminates_everyone(self):
@@ -158,7 +162,7 @@ class TestRequestPhaseTermination:
         round_index = max(
             alice_policy.earliest_termination_round(), receiver_policy.earliest_termination_round()
         )
-        result = self.make_result(n, {i: 0 for i in range(n)}, 0, round_index)
+        result = self.make_result(n, [0] * n, 0, round_index)
         decision = apply_request_phase(state, result, alice_policy, receiver_policy, round_index)
         assert decision.alice_terminated
         assert len(decision.terminated_nodes) == n
@@ -169,17 +173,17 @@ class TestRequestPhaseTermination:
         alice_policy, receiver_policy = self.make_policies(n)
         state = ProtocolState(n)
         round_index = receiver_policy.earliest_termination_round() + 1
-        noisy = {i: 10_000 for i in range(n)}
+        noisy = [10_000] * n
         result = self.make_result(n, noisy, 10_000, round_index)
         decision = apply_request_phase(state, result, alice_policy, receiver_policy, round_index)
         assert not decision.alice_terminated
-        assert decision.terminated_nodes == frozenset()
+        assert decision.terminated_nodes.size == 0
 
     def test_termination_blocked_before_earliest_round(self):
         n = 256
         alice_policy, receiver_policy = self.make_policies(n)
         state = ProtocolState(n)
-        result = self.make_result(n, {i: 0 for i in range(n)}, 0, round_index=1)
+        result = self.make_result(n, [0] * n, 0, round_index=1)
         decision = apply_request_phase(state, result, alice_policy, receiver_policy, 1)
         assert not decision.any_terminated
 
@@ -188,10 +192,10 @@ class TestRequestPhaseTermination:
         alice_policy, receiver_policy = self.make_policies(n)
         state = ProtocolState(n)
         round_index = receiver_policy.earliest_termination_round()
-        noise = {i: (0 if i < 10 else 10_000) for i in range(n)}
+        noise = [0 if i < 10 else 10_000 for i in range(n)]
         result = self.make_result(n, noise, 10_000, round_index)
         decision = apply_request_phase(state, result, alice_policy, receiver_policy, round_index)
-        assert decision.terminated_nodes == frozenset(range(10))
+        assert decision.terminated_nodes.tolist() == list(range(10))
         assert state.terminated_uninformed_count() == 10
 
     def test_informed_nodes_are_not_evaluated(self):
@@ -200,7 +204,8 @@ class TestRequestPhaseTermination:
         state = ProtocolState(n)
         state.mark_informed(range(32), slot=1)
         round_index = receiver_policy.earliest_termination_round()
-        result = self.make_result(n, {i: 0 for i in range(n)}, 10_000, round_index)
+        # The cohort is nodes 32..63; the noise array is aligned with it.
+        result = self.make_result(n, [0] * (n - 32), 10_000, round_index)
         decision = apply_request_phase(state, result, alice_policy, receiver_policy, round_index)
         assert decision.nodes_evaluated == 32
         assert all(node >= 32 for node in decision.terminated_nodes)

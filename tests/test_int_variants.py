@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -64,7 +65,7 @@ class TestDecoyVariant:
 
         plan = protocol._round_phases(4)[0]
         roles = protocol._roles_for(plan, ProtocolState(64))
-        assert roles.decoy_senders == roles.active_uninformed
+        assert np.array_equal(roles.decoy_ids, roles.active_uninformed_ids)
 
     def test_plain_protocol_has_no_decoy_senders(self):
         protocol = EpsilonBroadcast(SimulationConfig(n=64, seed=1))
@@ -72,7 +73,7 @@ class TestDecoyVariant:
 
         plan = protocol._round_phases(4)[0]
         roles = protocol._roles_for(plan, ProtocolState(64))
-        assert roles.decoy_senders == frozenset()
+        assert roles.decoy_ids.size == 0
 
     def test_decoys_cost_more_but_still_deliver(self):
         # Decoy traffic is extra work for the nodes; the difference is clearly

@@ -204,15 +204,20 @@ class TestHotPathAllocations:
         assert state.active_uninformed_array() is state.active_uninformed_array()
 
     def test_run_never_materialises_frozensets(self, monkeypatch):
-        """A full pipelined multi-hop run must be served entirely from the
-        cached arrays; building a frozenset anywhere on the hot path is a
-        regression."""
+        """A full pipelined multi-hop run must be served entirely from
+        arrays: the state has no set-returning views left, and every phase
+        hands the state an ``int64`` id array, never a Python container."""
 
-        def boom(self):
-            raise AssertionError("frozenset materialised on the hot path")
+        assert not hasattr(ProtocolState, "active_uninformed")
+        assert not hasattr(ProtocolState, "active_informed")
+        mark_informed = ProtocolState.mark_informed
 
-        monkeypatch.setattr(ProtocolState, "active_uninformed", boom)
-        monkeypatch.setattr(ProtocolState, "active_informed", boom)
+        def checked(self, node_ids, slot):
+            if not (isinstance(node_ids, np.ndarray) and node_ids.dtype == np.int64):
+                raise AssertionError("Python container crossed the engine boundary")
+            return mark_informed(self, node_ids, slot)
+
+        monkeypatch.setattr(ProtocolState, "mark_informed", checked)
         outcome = run_broadcast(
             n=48,
             seed=5,

@@ -71,7 +71,7 @@ class TestEngineBasics:
         engine = engine_factory(network)
         plan = inform_plan(num_slots=0)
         result = engine.run_phase(plan, PhaseRoles.of(range(network.n)), JamPlan.idle())
-        assert result.newly_informed == frozenset()
+        assert result.newly_informed.size == 0
         assert network.alice_cost == 0
 
     def test_unjammed_inform_phase_informs_everyone(self, engine_factory):
@@ -99,7 +99,7 @@ class TestEngineBasics:
         plan = inform_plan(num_slots=300)
         jam = JamPlan(num_jam_slots=300, targeting=JamTargeting.everyone())
         result = engine.run_phase(plan, PhaseRoles.of(range(network.n)), jam)
-        assert result.newly_informed == frozenset()
+        assert result.newly_informed.size == 0
         assert result.jammed_slots == 300
         assert network.adversary_cost == 300
 
@@ -110,7 +110,7 @@ class TestEngineBasics:
         plan = inform_plan(num_slots=300, alice=0.5, listen=0.8)
         jam = JamPlan(num_jam_slots=300, targeting=JamTargeting.sparing(spared))
         result = engine.run_phase(plan, PhaseRoles.of(range(network.n)), jam)
-        assert result.newly_informed == spared
+        assert result.newly_informed.tolist() == sorted(spared)
 
     def test_alice_inactive_means_no_delivery(self, engine_factory):
         network = make_network()
@@ -118,7 +118,7 @@ class TestEngineBasics:
         plan = inform_plan(num_slots=200)
         roles = PhaseRoles.of(range(network.n), alice_active=False)
         result = engine.run_phase(plan, roles, JamPlan.idle())
-        assert result.newly_informed == frozenset()
+        assert result.newly_informed.size == 0
         assert network.alice_cost == 0
 
     def test_adversary_budget_caps_jamming(self, engine_factory):
@@ -140,7 +140,7 @@ class TestEngineBasics:
         plan = propagation_plan(num_slots=400, relay=0.2, listen=0.8)
         result = engine.run_phase(plan, PhaseRoles.of(uninformed, relays=relays), JamPlan.idle())
         assert len(result.newly_informed) > len(uninformed) * 0.8
-        assert result.newly_informed <= uninformed
+        assert set(result.newly_informed.tolist()) <= uninformed
 
     def test_request_phase_counts_noise_for_alice_and_nodes(self, engine_factory):
         network = make_network()
@@ -149,7 +149,7 @@ class TestEngineBasics:
         result = engine.run_phase(plan, PhaseRoles.of(range(network.n)), JamPlan.idle())
         assert result.alice_noisy_heard > 0
         assert result.alice_listen_slots >= result.alice_noisy_heard
-        assert sum(result.node_noisy_heard.values()) > 0
+        assert result.node_noisy_heard.sum() > 0
 
     def test_request_phase_silent_when_nobody_nacks(self, engine_factory):
         network = make_network()
@@ -174,7 +174,7 @@ class TestEngineBasics:
         plan = inform_plan(num_slots=300, alice=0.0, listen=1.0)
         jam = JamPlan(spoof_payload_slots=200, targeting=JamTargeting.none())
         result = engine.run_phase(plan, PhaseRoles.of(range(network.n)), jam)
-        assert result.newly_informed == frozenset()
+        assert result.newly_informed.size == 0
         assert result.spoofed_transmissions == 200
 
     def test_reactive_jamming_suppresses_delivery_cheaply(self, engine_factory):
@@ -183,7 +183,7 @@ class TestEngineBasics:
         plan = inform_plan(num_slots=300, alice=0.3, listen=0.8)
         jam = JamPlan(num_jam_slots=10_000, reactive=True, targeting=JamTargeting.everyone())
         result = engine.run_phase(plan, PhaseRoles.of(range(network.n)), jam)
-        assert result.newly_informed == frozenset()
+        assert result.newly_informed.size == 0
         # A reactive jammer only pays for slots that actually carried traffic.
         assert network.adversary_cost == result.jammed_slots
         assert result.jammed_slots < 300
@@ -230,12 +230,12 @@ class TestResultBookkeeping:
 
 
 class TestDeterministicResultOrdering:
-    """Pinned regression for the sorted ``node_noisy`` cohort iteration.
+    """``PhaseResult.node_noisy_heard`` is aligned with the sorted cohort.
 
-    ``PhaseResult.node_noisy_heard`` is a dict whose insertion order leaks
-    into every trace or record that serialises it.  Before the fix the slot
-    engine seeded it from the raw uninformed *set*, so the order tracked
-    hash-table layout: ``{1, 8}`` iterates ``[8, 1]``.
+    Entry ``j`` belongs to ``roles.active_uninformed_ids[j]`` whatever order
+    the cohort was given in (a raw set ``{1, 8}`` iterates ``[8, 1]``), so
+    every record or trace that reads it depends on the cohort's contents,
+    not on a set's hash layout.
     """
 
     def test_node_noisy_heard_keys_follow_sorted_cohort(self, engine_factory):
@@ -244,6 +244,12 @@ class TestDeterministicResultOrdering:
         cohort = {1, 8}
         # Precondition: raw set order genuinely differs from sorted order.
         assert list(cohort) != sorted(cohort)
-        plan = request_plan(num_slots=50)
-        result = engine.run_phase(plan, PhaseRoles.of(cohort), JamPlan.idle())
-        assert list(result.node_noisy_heard) == sorted(cohort)
+        # Nobody transmits and only node 8 is jammed, so every noisy slot in
+        # the phase belongs to node 8, which listens in every slot.
+        plan = request_plan(num_slots=50, nack=0.0, listen=1.0)
+        jam = JamPlan(num_jam_slots=20, targeting=JamTargeting.only({8}))
+        roles = PhaseRoles.of(cohort)
+        result = engine.run_phase(plan, roles, jam)
+        assert roles.active_uninformed_ids.tolist() == [1, 8]
+        assert result.node_noisy_heard.shape == roles.active_uninformed_ids.shape
+        assert result.node_noisy_heard.tolist() == [0, 20]

@@ -49,8 +49,8 @@ class TestPhasePlan:
 class TestPhaseRoles:
     def test_of_constructor_freezes_sets(self):
         roles = PhaseRoles.of([1, 2, 3], relays=[4], alice_active=False)
-        assert roles.active_uninformed == frozenset({1, 2, 3})
-        assert roles.relays == frozenset({4})
+        assert roles.active_uninformed_ids.tolist() == [1, 2, 3]
+        assert roles.relay_ids.tolist() == [4]
         assert not roles.alice_active
 
 

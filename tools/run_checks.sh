@@ -5,12 +5,13 @@
 # E9 jamming-strategy ablation and E10 spoofing attacks, which gate the
 # burst and spoof paths, multi-hop, quiet rule), the sparse-topology and
 # mobile-jammer benchmark smokes, the docs code-snippet smoke
-# (README / docs quickstarts must stay runnable), and a traced perfbench
-# run of the multi-hop workload.
+# (README / docs quickstarts must stay runnable), traced perfbench runs of
+# the multi-hop and the million-device single-hop workloads, and the
+# benchmark-trajectory gate over docs/bench/BENCH_*.json.
 #
 # Usage:
-#   tools/run_checks.sh            # tests + benchmark smoke + docs snippets + perfbench smoke
-#   tools/run_checks.sh --no-bench # tests + docs snippets + perfbench smoke
+#   tools/run_checks.sh            # tests + benchmark smoke + docs snippets + perfbench smokes + gate
+#   tools/run_checks.sh --no-bench # tests + docs snippets + perfbench smokes + gate
 #
 # Every step runs even if an earlier one fails; the script exits non-zero if
 # ANY step failed, and lists the failures at the end — so CI cannot "pass"
@@ -40,11 +41,11 @@ run_step() {
     fi
 }
 
-# The repo benchmark's multi-hop workload, traced: perfbench runs the batch
-# untraced and then traced and counts any case whose outcomes differ as a
-# failed operation, so this gates traced ≡ untraced on the multi-hop path.
-perfbench_multihop_smoke() {
-    python3 perfbench/run.py --workload multihop-gilbert --seed 1 --seconds 0 --trace 1 \
+# One repo-benchmark workload, traced: perfbench runs the batch untraced and
+# then traced and counts any case whose outcomes differ as a failed
+# operation, so this gates traced ≡ untraced on the workload's paths.
+perfbench_smoke() {
+    python3 perfbench/run.py --workload "$1" --seed 1 --seconds 0 --trace 1 \
         | tail -n 1 \
         | python3 -c 'import json, sys; r = json.load(sys.stdin); print(r["failed"], "of", r["attempted"], "failed"); sys.exit(r["failed"] != 0)'
 }
@@ -104,7 +105,14 @@ fi
 
 run_step "docs code snippets" python tools/run_doc_snippets.py README.md docs/architecture.md
 
-run_step "perfbench multi-hop smoke (traced ≡ untraced, 0 failed)" perfbench_multihop_smoke
+run_step "perfbench multi-hop smoke (traced ≡ untraced, 0 failed)" \
+    perfbench_smoke multihop-gilbert
+
+run_step "perfbench single-hop 10⁶-device smoke (traced ≡ untraced, 0 failed)" \
+    perfbench_smoke million-build
+
+run_step "benchmark trajectory gate (newest docs/bench/BENCH_*.json within BENCHMARK.json bounds)" \
+    python3 tools/bench_compare.py --gate
 
 if ((${#failures[@]})); then
     echo
