@@ -174,7 +174,7 @@ class PhaseRoles:
 
     Every cohort is a sorted, unique ``int64`` id array — the form the
     engines index with and the adversaries test membership against
-    (``np.isin`` / ``np.intersect1d``).  The constructor accepts any
+    (``np.isin``).  The constructor accepts any
     iterable of ids and canonicalises it; arrays that are already sorted
     and unique (the cached views of
     :class:`~repro.core.state.ProtocolState`) pass through without a copy.
