@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..simulation.phaseplan import EMPTY_IDS, PhaseResult
+from ..simulation.phaseplan import EMPTY_IDS, PhaseResult, zero_counts
 from .alice import AlicePolicy
 from .receiver import ReceiverPolicy
 from .state import ProtocolState
@@ -85,14 +85,12 @@ def apply_request_phase(
         nodes_evaluated = int(active.size)
         heard = result.node_noisy_heard
         if heard.size == 0:
-            if receiver_policy.should_terminate(0, round_index):
-                terminating = active
-        elif heard.shape != active.shape:
+            heard = zero_counts(active.size)
+        if heard.shape != active.shape:
             raise ValueError(
                 f"node_noisy_heard has {heard.size} entries for a cohort of {active.size}"
             )
-        else:
-            terminating = active[receiver_policy.quiet_mask(heard, round_index)]
+        terminating = active[receiver_policy.quiet_mask(heard, round_index)]
     if terminating.size:
         state.terminate_uninformed(terminating, round_index)
 

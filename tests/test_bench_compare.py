@@ -33,55 +33,54 @@ def write_bench(directory, pr, pairs_by_workload):
 
 
 @pytest.fixture()
-def setup_dir(tmp_path):
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
-    bench = tmp_path / "bench"
-    bench.mkdir()
-    return tmp_path, bench
+def bench(tmp_path):
+    directory = tmp_path / "bench"
+    directory.mkdir()
+    return directory
 
 
-def run(tmp_path, bench, *extra):
-    return bench_compare.main(
-        ["--bench-dir", str(bench), "--benchmark", str(tmp_path / "BENCHMARK.json"), *extra]
-    )
+def gate_newest(bench):
+    return bench_compare.gate(bench_compare.bench_files(bench)[-1][1], METRICS)
 
 
 class TestBenchCompare:
-    def test_files_are_read_in_pr_order(self, setup_dir):
-        _, bench = setup_dir
+    def test_files_are_read_in_pr_order(self, bench):
         for pr in (9, 15, 100):
             write_bench(bench, pr, {"w": [pair(1.0, 1.0)]})
         assert [pr for pr, _ in bench_compare.bench_files(bench)] == [9, 15, 100]
 
-    def test_trajectory_reports_medians_of_raw_pairs(self, setup_dir):
-        _, bench = setup_dir
+    def test_trajectory_reports_medians_of_raw_pairs(self, bench):
         write_bench(bench, 15, {"w": [pair(1.0, 0.5), pair(3.0, 0.7), pair(2.0, 9.0)]})
         lines = bench_compare.trajectory(bench_compare.bench_files(bench), METRICS)
         assert lines[0] == "w"
         assert "wall_s 2 -> 0.7 (-65.0%)" in lines[1]
 
-    def test_gate_passes_within_the_bound(self, setup_dir, capsys):
-        tmp_path, bench = setup_dir
+    def test_gate_passes_within_the_bound(self, bench):
         write_bench(bench, 15, {"w": [pair(1.0, 2.0)]})  # an old regression is not gated
         write_bench(bench, 16, {"w": [pair(1.0, 1.2), pair(1.0, 1.24)]})
-        assert run(tmp_path, bench, "--gate") == 0
-        assert "gate BENCH_16.json: ok" in capsys.readouterr().out
+        assert gate_newest(bench) == []
 
-    def test_gate_fails_beyond_the_bound(self, setup_dir):
-        tmp_path, bench = setup_dir
+    def test_gate_fails_beyond_the_bound(self, bench):
         write_bench(bench, 16, {"w": [pair(1.0, 1.3), pair(1.0, 1.26)]})
-        assert run(tmp_path, bench) == 0  # printing alone never fails
-        assert run(tmp_path, bench, "--gate") == 1
+        problems = gate_newest(bench)
+        assert len(problems) == 1 and problems[0].startswith("w: wall_s")
 
-    def test_gate_fails_on_more_failed_operations(self, setup_dir):
-        tmp_path, bench = setup_dir
+    def test_gate_fails_on_more_failed_operations(self, bench):
         write_bench(bench, 16, {"w": [pair(1.0, 0.5, change_failed=1)]})
-        assert run(tmp_path, bench, "--gate") == 1
+        assert gate_newest(bench) == ["w: a larger share of operations failed"]
 
-    def test_annotated_extra_runs_are_not_gated(self, setup_dir):
-        tmp_path, bench = setup_dir
+    def test_annotated_extra_runs_are_not_gated(self, bench):
         write_bench(bench, 16, {"w": [pair(1.0, 1.0)], "w (first run)": [pair(1.0, 5.0)]})
-        assert run(tmp_path, bench, "--gate") == 0
+        assert gate_newest(bench) == []
 
-    def test_committed_trajectory_passes_its_gate(self):
-        assert bench_compare.main(["--gate"]) == 0
+    def test_main_exits_nonzero_only_when_gating_a_broken_bound(
+        self, tmp_path, bench, monkeypatch, capsys
+    ):
+        benchmark = tmp_path / "BENCHMARK.json"
+        benchmark.write_text(json.dumps({"end_to_end": METRICS}))
+        monkeypatch.setattr(bench_compare, "BENCHMARK", benchmark)
+        monkeypatch.setattr(bench_compare, "BENCH_DIR", bench)
+        write_bench(bench, 16, {"w": [pair(1.0, 1.3)]})
+        assert bench_compare.main([]) == 0  # printing alone never fails
+        assert bench_compare.main(["--gate"]) == 1
+        assert "gate BENCH_16.json: FAILED" in capsys.readouterr().out

@@ -28,6 +28,8 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
+BENCH_DIR = ROOT / "docs" / "bench"
+BENCHMARK = ROOT / "BENCHMARK.json"
 BENCH_NAME = re.compile(r"BENCH_(\d+)\.json$")
 
 
@@ -120,17 +122,15 @@ def gate(path: Path, metrics: List[Dict[str, Any]]) -> List[str]:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--bench-dir", type=Path, default=ROOT / "docs" / "bench")
-    parser.add_argument("--benchmark", type=Path, default=ROOT / "BENCHMARK.json")
     parser.add_argument(
         "--gate", action="store_true", help="exit 1 if the newest file breaks a bound"
     )
     args = parser.parse_args(argv)
 
-    metrics = json.loads(args.benchmark.read_text())["end_to_end"]
-    files = bench_files(args.bench_dir)
+    metrics = json.loads(BENCHMARK.read_text())["end_to_end"]
+    files = bench_files(BENCH_DIR)
     if not files:
-        print(f"no BENCH_*.json in {args.bench_dir}", file=sys.stderr)
+        print(f"no BENCH_*.json in {BENCH_DIR}", file=sys.stderr)
         return 1
     print("\n".join(trajectory(files, metrics)))
     if not args.gate:
