@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..simulation.phaseplan import EMPTY_IDS, PhaseResult, zero_counts
+from ..simulation.phaseplan import EMPTY_IDS, PhaseResult
 from .alice import AlicePolicy
 from .receiver import ReceiverPolicy
 from .state import ProtocolState
@@ -85,7 +85,7 @@ def apply_request_phase(
         nodes_evaluated = int(active.size)
         heard = result.node_noisy_heard
         if heard.size == 0:
-            heard = zero_counts(active.size)
+            heard = np.zeros(active.size, dtype=np.int64)
         if heard.shape != active.shape:
             raise ValueError(
                 f"node_noisy_heard has {heard.size} entries for a cohort of {active.size}"

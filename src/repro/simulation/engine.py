@@ -27,7 +27,7 @@ from .errors import SimulationError
 from .jamming import materialize_jam_slots, materialize_spoof_slots
 from .messages import Message, MessageKind, make_decoy, make_nack, make_payload, make_spoof
 from .network import Network
-from .phaseplan import EMPTY_IDS, JamPlan, PhasePlan, PhaseResult, PhaseRoles, zero_counts
+from .phaseplan import EMPTY_IDS, JamPlan, PhaseKind, PhasePlan, PhaseResult, PhaseRoles
 from ..observability.trace import NULL_RECORDER, TraceRecorder, engine_event
 
 __all__ = ["SlotEngine"]
@@ -79,11 +79,7 @@ class SlotEngine:
         s = plan.num_slots
         if s == 0:
             result = PhaseResult(
-                plan=plan,
-                newly_informed=EMPTY_IDS,
-                jammed_slots=0,
-                adversary_spend=0.0,
-                node_noisy_heard=zero_counts(roles.active_uninformed_ids.size),
+                plan=plan, newly_informed=EMPTY_IDS, jammed_slots=0, adversary_spend=0.0
             )
             if self.recorder.enabled:
                 self.recorder.record(engine_event("empty", result))
@@ -119,8 +115,8 @@ class SlotEngine:
 
         newly_informed: Set[int] = set()
         # Noisy-slot tallies by cohort position (PhaseResult.node_noisy_heard
-        # is aligned with roles.active_uninformed_ids); only cohort members
-        # ever listen.
+        # is aligned with roles.active_uninformed_ids and reported for request
+        # phases only); only cohort members ever listen.
         cohort_position = {node_id: j for j, node_id in enumerate(cohort)}
         node_noisy = [0] * len(cohort)
         alice_noisy = 0
@@ -289,7 +285,11 @@ class SlotEngine:
             jammed_slots=jammed_slots,
             adversary_spend=adversary_spend,
             alice_noisy_heard=alice_noisy,
-            node_noisy_heard=np.array(node_noisy, dtype=np.int64),
+            node_noisy_heard=(
+                np.array(node_noisy, dtype=np.int64)
+                if plan.kind is PhaseKind.REQUEST
+                else EMPTY_IDS
+            ),
             delivery_slots=delivery_slots,
             busy_slots=busy_slots,
             alice_send_slots=alice_send_slots,

@@ -1,4 +1,4 @@
-"""Vectorised phase-level execution engine.
+"""Event-driven phase-level execution engine.
 
 :class:`PhaseEngine` executes a phase in bulk with numpy instead of slot by
 slot.  It exploits two structural facts about ε-Broadcast (and the baselines):
@@ -7,77 +7,59 @@ slot.  It exploits two structural facts about ε-Broadcast (and the baselines):
   with a fixed probability, and
 * the adversary commits to a per-phase :class:`~repro.simulation.phaseplan.JamPlan`.
 
-The engine therefore samples per-slot *aggregate* channel outcomes (how many
-transmissions, whether the slot was jammed, whether it delivered the message)
-and per-device *aggregate* costs (how many slots each device used) from the
-exact distributions the slot-faithful engine induces.  Per-node message
-reception is exact: conditioned on the sampled channel outcomes, node ``u``
-receives ``m`` with probability ``1 - (1 - p_listen)^{g_u}`` where ``g_u`` is
-the number of delivery slots not jammed for ``u``.
+Protocol send probabilities are ``O(1/n)``, so the transmission *events* of
+a phase of ``s`` slots — who transmitted in which slot — number about
+``s·|active|/n`` rather than ``|active|·s``.  The engine samples them exactly
+and resolves the phase from them and from Carol's sorted jam and spoof
+offsets (a plan that jams a whole phase is the interval ``[0, s)``).  No
+array of the phase's length is built, so a phase costs what its events and
+its listener cohort cost, not what its slots cost.
 
-Two deliberate, documented approximations (both validated against
-:class:`~repro.simulation.engine.SlotEngine` by integration tests):
+The topologies differ only in how an event reaches listeners — its
+*audience*, a set of rows that each share one list of audible slots:
 
-* per-device cost draws are sampled marginally, so the joint correlation
-  between "which slot carried a transmission" and "which device paid for it"
-  is not preserved (totals and distributions are);
-* a node that becomes informed stops listening at a *sampled* position within
-  the phase (a truncated-geometric draw over its delivery opportunities,
-  placed proportionally in the phase) rather than at the exact slot the slot
-  engine would have chosen.
+* over a spatial :class:`~repro.simulation.topology.Topology` an event
+  reaches the sender's CSR neighbourhood, and every listener is its own row.
+  Gilbert-graph degrees concentrate around ``π r² n`` (arXiv:1312.4861), so
+  an event reaches ``O(E[deg])`` listeners;
+* on the single-hop channel every event reaches every listener, so the
+  listeners that share a jam class (victim or spared) hear the same slots
+  and the clique has two rows; an event costs O(1) whatever ``n`` is.
 
-Spatial topologies
-------------------
+A slot is *good* for a row when it carries exactly one audible payload
+frame and nothing else — no nack, decoy, own send or spoof, and no jamming
+for that row.  A listener's listen coins on its good slots are independent,
+so its first heard delivery is its ``K``-th good slot with
+``K ~ Geometric(p_listen)``.  A listener informed in slot ``t`` sends no nack
+or decoy after ``t``, which can free good slots for others: the engine
+resolves deliveries, drops the events after each listener's delivery slot,
+and repeats.  Every pass fixes at least the earliest slot that still
+differs, so the fixpoint is the slot engine's sequential outcome.
 
-Over a multi-hop :class:`~repro.simulation.topology.Topology` the aggregate
-shortcut above no longer applies — what a listener hears depends on *which*
-of its neighbours transmitted.  :meth:`PhaseEngine._run_phase_multihop_sparse`
-resolves such a phase from its transmission *events* instead.  Per-slot
-send probabilities are ``O(1/n)``, so the events of a phase of ``s`` slots —
-who transmitted in which slot — number about ``s·|active|/n`` rather than
-``|active|·s`` (roughly one per slot while a request phase's cohort is
-uninformed), and Gilbert-graph degrees concentrate around ``π r² n``
-(arXiv:1312.4861), so each event reaches ``O(E[deg])`` listeners.  The
-multi-hop path:
+Costs are exact.  Sends are counted from the events.  A listener listens
+with probability ``p_listen`` in each slot of its window (up to its delivery
+slot) in which it does not transmit; conditioned on its delivery slot it
+heard none of the earlier good slots, so its listening cost is the delivery
+slot plus binomial draws over the rest of the window, split into noisy and
+quiet slots in request phases.
 
-* samples transmission events exactly (a Bernoulli grid conditioned on its
-  binomial count is a uniform subset of device×slot cells),
-* expands each event to the sender's CSR neighbourhood restricted to the
-  currently-active listener set (``O(events · E[deg])`` pairs),
-* resolves delivery per listener from its candidate clean-delivery slots
-  (exact: collision, spoof, jamming, and half-duplex rules all applied per
-  pair, and a listener informed mid-phase sends no nack or decoy after its
-  delivery slot), and
-* draws listening costs and request-phase noisy-slot counts as binomials
-  over the per-listener slot classification — exact for request phases,
-  and the same marginal-truncation approximation as the single-hop path for
-  nodes informed mid-phase (listening stops at the delivery slot, but the
-  pre-delivery listening cost is drawn marginally).
-
-One further documented approximation (validated statistically against the
-slot engine): a reactive jam plan picks its slots from the phase's activity
-before informed listeners fall silent.
+One documented approximation (validated statistically against
+:class:`~repro.simulation.engine.SlotEngine`): a reactive jam plan picks its
+slots from the correct devices' sampled events, before informed listeners
+fall silent and without Carol's own spoofs.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
 
 from .auth import ALICE_ID
-from .channel import JamMode
 from .jamming import materialize_jam_slots, materialize_spoof_slots
 from .network import Network
-from .phaseplan import (
-    EMPTY_IDS,
-    JamPlan,
-    PhaseKind,
-    PhasePlan,
-    PhaseResult,
-    PhaseRoles,
-    zero_counts,
-)
+from .phaseplan import EMPTY_IDS, JamPlan, PhaseKind, PhasePlan, PhaseResult, PhaseRoles
 from ..observability.trace import NULL_RECORDER, TraceRecorder, engine_event
 
 __all__ = ["PhaseEngine"]
@@ -89,30 +71,207 @@ def _sample_bernoulli_events(
     """Sample the success cells of a ``num × s`` Bernoulli(``p``) grid.
 
     Returns ``(idx, slots)`` — the row (device) and column (slot) of every
-    success, grouped by row with slots ascending.  Distribution-exact: a
-    Bernoulli grid conditioned on its total count ``m ~ Binomial(num·s, p)``
-    is a uniform ``m``-subset of the cells, which is drawn by rejection of
-    duplicates.  Cost is ``O(m log m)`` — independent of the grid size — so
-    phases with millions of slots but thousands of events stay cheap.
+    success, in slot order and by row within a slot.  Exact for every ``p``
+    in ``[0, 1]``: walking the grid slot by slot, the successes of a
+    Bernoulli process are separated by independent Geometric(``p``) gaps, so
+    the success cells are running sums of such gaps.  The cost is ``O(m)``
+    in the number ``m`` of successes, whatever the grid's size, and no cell
+    is ever drawn twice.
     """
 
-    empty = np.empty(0, dtype=np.int64)
     if num <= 0 or s <= 0 or p <= 0.0:
-        return empty, empty
+        return EMPTY_IDS, EMPTY_IDS
     cells = num * s
-    if cells <= (1 << 21) or p > 0.25:
-        # Small grids (and the clipped-probability early rounds): sampling the
-        # grid directly is cheaper than rejection and trivially exact.
-        idx, slots = np.nonzero(rng.random((num, s)) < p)
-        return idx.astype(np.int64), slots.astype(np.int64)
-    m = int(rng.binomial(cells, p))
-    if m == 0:
-        return empty, empty
-    flat = np.unique(rng.integers(0, cells, size=m, dtype=np.int64))
-    while flat.size < m:
-        extra = rng.integers(0, cells, size=m - flat.size, dtype=np.int64)
-        flat = np.unique(np.concatenate([flat, extra]))
-    return flat // s, flat % s
+    mean = cells * p
+    chunk = int(mean + 4.0 * math.sqrt(mean) + 16.0)
+    flat = rng.geometric(p, size=chunk)
+    np.cumsum(flat, out=flat)
+    flat -= 1
+    while flat[-1] < cells:
+        more = rng.geometric(p, size=chunk)
+        np.cumsum(more, out=more)
+        flat = np.concatenate([flat, more + flat[-1]])
+    flat = flat[: np.searchsorted(flat, cells)]
+    idx = flat % num
+    flat //= num
+    return idx, flat
+
+
+def _cat(*arrays: np.ndarray) -> np.ndarray:
+    """Concatenate; an array that is the only non-empty one is not copied."""
+
+    full = [a for a in arrays if a.size]
+    if len(full) == 1:
+        return full[0]
+    return np.concatenate(full) if full else EMPTY_IDS
+
+
+def _ascending(values: np.ndarray) -> np.ndarray:
+    """``values`` sorted; already-sorted input (most event arrays) is not copied."""
+
+    if values.size > 1 and not bool(np.all(values[1:] >= values[:-1])):
+        return np.sort(values)
+    return values
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending (a sort and an adjacent compare)."""
+
+    values = _ascending(values)
+    if values.size > 1:
+        values = values[np.concatenate(([True], values[1:] != values[:-1]))]
+    return values
+
+
+def _positions(sorted_ids: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """The index of each ``query`` value in ``sorted_ids``, or -1 if absent."""
+
+    pos = np.searchsorted(sorted_ids, query)
+    found = pos < sorted_ids.size
+    found[found] = sorted_ids[pos[found]] == query[found]
+    return np.where(found, pos, -1)
+
+
+def _clean_keys(payload: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """The sorted keys that occur once in ``payload`` and never in ``other``."""
+
+    payload = _ascending(payload)
+    alone = np.ones(payload.size, dtype=bool)
+    alone[1:] = payload[1:] != payload[:-1]
+    alone[:-1] &= alone[1:]
+    clean = payload[alone]
+    if other.size:
+        clean = clean[_positions(_ascending(other), clean) < 0]
+    return clean
+
+
+class _SlotSet:
+    """Sorted slots of one phase: the interval ``[0, prefix)`` plus ``offsets``.
+
+    Carol's jammed and spoofed slots.  A plan that jams a whole phase is a
+    bare interval, so it costs no memory at any phase length; every query
+    is a comparison or a ``searchsorted``.
+    """
+
+    __slots__ = ("offsets", "prefix", "size")
+
+    def __init__(self, offsets: np.ndarray = EMPTY_IDS, prefix: int = 0) -> None:
+        self.offsets = offsets
+        self.prefix = prefix
+        self.size = prefix + int(offsets.size)
+
+    def first(self, k: int) -> "_SlotSet":
+        """The ``k`` earliest slots."""
+
+        if k <= self.prefix:
+            return _SlotSet(prefix=k)
+        return _SlotSet(self.offsets[: k - self.prefix], self.prefix)
+
+    def array(self) -> np.ndarray:
+        return np.concatenate([np.arange(self.prefix, dtype=np.int64), self.offsets])
+
+    def contains(self, slots: np.ndarray) -> np.ndarray:
+        inside = slots < self.prefix
+        if self.offsets.size:
+            inside |= _positions(self.offsets, slots) >= 0
+        return inside
+
+    def count_le(self, last: np.ndarray) -> np.ndarray:
+        """How many of the slots lie in ``[0, last]``, per entry of ``last``."""
+
+        return np.minimum(last + 1, self.prefix) + np.searchsorted(
+            self.offsets, last, side="right"
+        )
+
+    def union_size(self, busy: np.ndarray) -> int:
+        """``|busy ∪ self|`` for sorted, unique ``busy`` slots."""
+
+        if self.size == 0:
+            return int(busy.size)
+        return int(busy.size) + self.size - int(np.count_nonzero(self.contains(busy)))
+
+
+_NO_SLOTS = _SlotSet()
+
+
+def _covers_phase(jam_plan: JamPlan, s: int) -> bool:
+    """Whether a non-reactive count plan jams every slot of the phase."""
+
+    return (
+        jam_plan.slot_indices is None
+        and jam_plan.jam_rate is None
+        and not jam_plan.reactive
+        and jam_plan.num_jam_slots >= s
+    )
+
+
+class _Clique:
+    """Single-hop audience: every event reaches every listener, so the whole
+    cohort is one row and a key is just its slot.  A listener's own sends
+    are audible to its row as noise already."""
+
+    path = "single-hop"
+
+    def __init__(self, num_listeners: int) -> None:
+        self.row_of = np.zeros(num_listeners, dtype=np.int64)
+        self.num_rows = 1
+
+    def expand(
+        self, cohort: np.ndarray, idx: np.ndarray, slots: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Row keys of every audible event, and the slots Alice hears."""
+
+        return slots, slots
+
+    def own_keys(self, pos: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        return EMPTY_IDS
+
+
+class _Neighbourhoods:
+    """Spatial audience: an event reaches the sender's CSR neighbours, and
+    each listener is its own row (key ``row·s + slot``)."""
+
+    path = "multihop-sparse"
+
+    def __init__(self, network: Network, listeners: np.ndarray, s: int) -> None:
+        self.s = s
+        self.alice = network.n
+        self.csr = network.topology.neighbor_csr()
+        self.row_of = np.arange(listeners.size, dtype=np.int64)
+        self.num_rows = listeners.size
+        self._row = np.full(network.n + 1, -1, dtype=np.int64)
+        self._row[listeners] = self.row_of
+
+    def expand(
+        self, cohort: np.ndarray, idx: np.ndarray, slots: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        if idx.size == 0:
+            return EMPTY_IDS, EMPTY_IDS
+        origins, nbrs = self.csr.expand(cohort[idx])
+        pair_slots = slots[origins]
+        row = self._row[nbrs]
+        hears = row >= 0
+        return row[hears] * self.s + pair_slots[hears], pair_slots[nbrs == self.alice]
+
+    def own_keys(self, pos: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        # The CSR has no self-loops: add each listener's own sends to its row.
+        return pos * self.s + slots
+
+
+def _kth_slot(
+    audience: "_Clique | _Neighbourhoods", keys: np.ndarray, s: int, k: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Per listener, how many of the sorted ``keys`` its row has, and the
+    slot of its ``k``-th one (-1 where it has fewer)."""
+
+    row = keys // s
+    per_row = np.bincount(row, minlength=audience.num_rows)
+    start = np.cumsum(per_row) - per_row
+    count = per_row[audience.row_of]
+    at = np.full(k.size, -1, dtype=np.int64)
+    hit = k <= count
+    at[hit] = keys[start[audience.row_of[hit]] + k[hit] - 1] % s
+    return count, at
 
 
 class PhaseEngine:
@@ -129,10 +288,6 @@ class PhaseEngine:
         # default null recorder is installed.
         self.recorder: TraceRecorder = NULL_RECORDER
 
-    # ------------------------------------------------------------------ #
-    # Public API                                                          #
-    # ------------------------------------------------------------------ #
-
     def run_phase(
         self,
         plan: PhasePlan,
@@ -142,463 +297,179 @@ class PhaseEngine:
     ) -> PhaseResult:
         """Execute one phase in bulk and return its :class:`PhaseResult`."""
 
-        network = self.network
-        ledger = network.ledger
-        rng = self._rng
         s = plan.num_slots
         if s == 0:
             result = PhaseResult(
-                plan=plan,
-                newly_informed=EMPTY_IDS,
-                jammed_slots=0,
-                adversary_spend=0.0,
-                node_noisy_heard=zero_counts(roles.active_uninformed_ids.size),
+                plan=plan, newly_informed=EMPTY_IDS, jammed_slots=0, adversary_spend=0.0
             )
             if self.recorder.enabled:
                 self.recorder.record(engine_event("empty", result))
             return result
 
-        topology = network.topology
-        if topology is not None and not topology.is_single_hop:
-            return self._run_phase_multihop_sparse(plan, roles, jam_plan, start_slot)
-
-        uninformed = roles.active_uninformed_ids
-        relays = roles.relay_ids
-        decoys = roles.decoy_ids
-
-        # ------------------------------------------------------------------ #
-        # 1. Per-slot transmission counts: payload (Alice, relays) and noise  #
-        #    (nacks, decoys; Carol's spoofs are added in step 2)              #
-        # ------------------------------------------------------------------ #
-        payload_tx = np.zeros(s, dtype=np.int64)
-        noise_tx = np.zeros(s, dtype=np.int64)
-        alice_send_slots = 0
-        if roles.alice_active and plan.alice_send_prob > 0:
-            alice_sends = rng.random(s) < plan.alice_send_prob
-            alice_send_slots = int(np.count_nonzero(alice_sends))
-            payload_tx += alice_sends
-        if relays.size and plan.relay_send_prob > 0:
-            payload_tx += rng.binomial(relays.size, plan.relay_send_prob, size=s)
-        if uninformed.size and plan.nack_send_prob > 0:
-            noise_tx += rng.binomial(uninformed.size, plan.nack_send_prob, size=s)
-        if decoys.size and plan.decoy_send_prob > 0:
-            noise_tx += rng.binomial(decoys.size, plan.decoy_send_prob, size=s)
-
-        # ------------------------------------------------------------------ #
-        # 2. Adversary actions (jamming + spoofed transmissions)              #
-        # ------------------------------------------------------------------ #
-        correct_activity = (payload_tx > 0) | (noise_tx > 0) if jam_plan.reactive else None
-        (
-            jam_mask,
-            spoof_slots,
-            adversary_spend,
-            jammed_slots,
-            spoofed_transmissions,
-        ) = self._materialize_adversary_actions(jam_plan, s, rng, correct_activity)
-        noise_tx[spoof_slots] += 1  # spoofed slots are distinct
-
-        # Noisy-for-a-listener slots: any transmission, or jamming that hits
-        # it.  A jam victim's noisy slots are exactly the phase's busy slots.
-        any_tx = (payload_tx > 0) | (noise_tx > 0)
-        noisy_for_spared = int(np.count_nonzero(any_tx))
-        noisy_for_victim = (
-            int(np.count_nonzero(any_tx | jam_mask)) if jammed_slots else noisy_for_spared
-        )
-        busy_slots = noisy_for_victim
-
-        # ------------------------------------------------------------------ #
-        # 3. Delivery slots: exactly one transmission and it is authentic m   #
-        # ------------------------------------------------------------------ #
-        delivers = (payload_tx == 1) & (noise_tx == 0)
-        good_unjammed = int(np.count_nonzero(delivers))
-        good_when_victim = (
-            int(np.count_nonzero(delivers & ~jam_mask)) if jammed_slots else good_unjammed
-        )
-        jam_affects_listeners = jam_plan.targeting.mode is not JamMode.NONE
-        delivery_slots = good_when_victim if jam_affects_listeners else good_unjammed
-        victim = (
-            self._victim_mask(uninformed, jam_plan)
-            if jam_affects_listeners
-            else np.zeros(uninformed.size, dtype=bool)
-        )
-
-        newly_informed = EMPTY_IDS
-        informed_mask: np.ndarray | None = None
-        good_per_node: np.ndarray | None = None
-        if plan.carries_payload and uninformed.size:
-            p_listen = plan.uninformed_listen_prob
-            if p_listen > 0:
-                good_per_node = np.where(victim, good_when_victim, good_unjammed)
-                p_informed = 1.0 - np.power(1.0 - p_listen, good_per_node)
-                informed_mask = rng.random(uninformed.size) < p_informed
-                newly_informed = uninformed[informed_mask]
-
-        # ------------------------------------------------------------------ #
-        # 4. Costs                                                            #
-        # ------------------------------------------------------------------ #
-        if alice_send_slots:
-            ledger.charge_bulk(ledger.alice, float(alice_send_slots))
-
-        alice_listen_slots = 0
-        alice_noisy = 0
-        if roles.alice_active and plan.alice_listen_prob > 0:
-            alice_is_victim = jam_plan.targeting.affects(ALICE_ID)
-            noisy_for_alice = noisy_for_victim if alice_is_victim else noisy_for_spared
-            quiet_for_alice = s - noisy_for_alice
-            alice_noisy = int(rng.binomial(noisy_for_alice, plan.alice_listen_prob))
-            alice_quiet_listens = int(rng.binomial(max(quiet_for_alice, 0), plan.alice_listen_prob))
-            alice_listen_slots = alice_noisy + alice_quiet_listens
-            if alice_listen_slots:
-                ledger.charge_bulk(ledger.alice, float(alice_listen_slots))
-
-        node_noisy = zero_counts(uninformed.size)
-        jam_victims = 0
-        if uninformed.size:
-            jam_victims = int(victim.sum())
-            noisy_per_node = np.where(victim, noisy_for_victim, noisy_for_spared)
-            quiet_per_node = s - noisy_per_node
-
-            p_listen = plan.uninformed_listen_prob
-            if p_listen > 0:
-                heard = rng.binomial(noisy_per_node, p_listen)
-                quiet_listens = rng.binomial(quiet_per_node, p_listen)
-                listen_cost = heard + quiet_listens
-                if informed_mask is not None and informed_mask.any():
-                    listen_cost = self._truncate_informed_listening(
-                        rng, listen_cost, informed_mask, good_per_node, p_listen, s
-                    )
-            else:
-                heard = np.zeros(uninformed.size, dtype=np.int64)
-                listen_cost = np.zeros(uninformed.size, dtype=np.int64)
-
-            nack_cost = (
-                rng.binomial(s, plan.nack_send_prob, size=uninformed.size)
-                if plan.nack_send_prob > 0
-                else np.zeros(uninformed.size, dtype=np.int64)
-            )
-
-            # Listening and nack sends: one vector charge over the cohort.
-            ledger.charge_many(uninformed, listen_cost + nack_cost)
-            if plan.kind is PhaseKind.REQUEST:
-                node_noisy = heard
-
-        if relays.size and plan.relay_send_prob > 0:
-            relay_cost = rng.binomial(s, plan.relay_send_prob, size=relays.size)
-            ledger.charge_many(relays, relay_cost)
-
-        if decoys.size and plan.decoy_send_prob > 0:
-            decoy_cost = rng.binomial(s, plan.decoy_send_prob, size=decoys.size)
-            ledger.charge_many(decoys, decoy_cost)
-
-        result = PhaseResult(
-            plan=plan,
-            newly_informed=newly_informed,
-            jammed_slots=jammed_slots,
-            adversary_spend=adversary_spend,
-            alice_noisy_heard=alice_noisy,
-            node_noisy_heard=node_noisy,
-            delivery_slots=delivery_slots,
-            busy_slots=busy_slots,
-            alice_send_slots=alice_send_slots,
-            alice_listen_slots=alice_listen_slots,
-            spoofed_transmissions=spoofed_transmissions,
-        )
-        if self.recorder.enabled:
-            self.recorder.record(
-                engine_event(
-                    "single-hop",
-                    result,
-                    jam_victims=jam_victims,
-                    noisy_for_victim=noisy_for_victim,
-                    noisy_for_spared=noisy_for_spared,
-                )
-            )
-        return result
-
-    # ------------------------------------------------------------------ #
-    # Multi-hop (CSR-topology) execution                                  #
-    # ------------------------------------------------------------------ #
-
-    def _run_phase_multihop_sparse(
-        self,
-        plan: PhasePlan,
-        roles: PhaseRoles,
-        jam_plan: JamPlan,
-        start_slot: int = 0,
-    ) -> PhaseResult:
-        """Event-driven execution over a spatial (CSR-backed) topology.
-
-        The phase is resolved from its transmission *events*: each sampled
-        send is expanded through the sender's CSR neighbourhood slice onto
-        only the currently-active listeners.  See the module docstring for
-        the exact / approximate split; statistical equivalence with the slot
-        engine is covered by the engine-equivalence suite.
-        """
-
         network = self.network
         ledger = network.ledger
         topology = network.topology
         rng = self._rng
-        s = plan.num_slots
-        n = topology.n
-        csr = topology.neighbor_csr()
-
         uninformed = roles.active_uninformed_ids
         relays = roles.relay_ids
         decoys = roles.decoy_ids
-        num_u, num_r, num_d = uninformed.size, relays.size, decoys.size
-
-        # Listener-position lookup: device row -> index into `uninformed`.
-        u_pos = np.full(n + 1, -1, dtype=np.int64)
-        u_pos[uninformed] = np.arange(num_u, dtype=np.int64)
+        num_u = uninformed.size
 
         # ------------------------------------------------------------------ #
-        # 1. Transmission events                                             #
+        # 1. Transmission events, in slot order                              #
         # ------------------------------------------------------------------ #
-        alice_slots = np.empty(0, dtype=np.int64)
-        if roles.alice_active and plan.alice_send_prob > 0:
-            _, alice_slots = _sample_bernoulli_events(rng, 1, s, plan.alice_send_prob)
-
-        relay_idx, relay_slots = _sample_bernoulli_events(rng, num_r, s, plan.relay_send_prob)
+        alice_idx = alice_slots = EMPTY_IDS
+        if roles.alice_active:
+            alice_idx, alice_slots = _sample_bernoulli_events(rng, 1, s, plan.alice_send_prob)
+        relay_idx, relay_slots = _sample_bernoulli_events(rng, relays.size, s, plan.relay_send_prob)
+        # Relays never listen, so their sends can be paid now.
+        if relay_idx.size:
+            ledger.charge_many(relays, np.bincount(relay_idx, minlength=relays.size))
         nack_idx, nack_slots = _sample_bernoulli_events(rng, num_u, s, plan.nack_send_prob)
-        decoy_idx, decoy_slots = _sample_bernoulli_events(rng, num_d, s, plan.decoy_send_prob)
-
-        nack_keys = uninformed[nack_idx] * s + nack_slots
-        if decoy_idx.size and nack_keys.size:
+        decoy_idx, decoy_slots = _sample_bernoulli_events(rng, decoys.size, s, plan.decoy_send_prob)
+        if decoy_idx.size and nack_idx.size:
             # Half-duplex, mirroring the slot engine: a decoy sender that
-            # chose a nack in the same slot keeps the nack.
-            decoy_device_keys = decoys[decoy_idx] * s + decoy_slots
-            keep = ~np.isin(decoy_device_keys, nack_keys)
+            # chose a nack in the same slot keeps the nack.  Device keys
+            # ``slot·(n+1) + id`` come out sorted: the events are in slot
+            # order and the cohorts are sorted.
+            width = network.n + 1
+            nack_devices = nack_slots * width + uninformed[nack_idx]
+            keep = _positions(nack_devices, decoy_slots * width + decoys[decoy_idx]) < 0
             decoy_idx, decoy_slots = decoy_idx[keep], decoy_slots[keep]
-
-        def activity() -> np.ndarray:
-            active = np.zeros(s, dtype=bool)
-            for slots in (alice_slots, relay_slots, nack_slots, decoy_slots):
-                active[slots] = True
-            return active
+        # The listener position of each decoy event's sender (-1: not listening).
+        decoy_pos = _positions(uninformed, decoys)[decoy_idx]
 
         # ------------------------------------------------------------------ #
         # 2. Adversary actions (jamming + spoofed transmissions)             #
         # ------------------------------------------------------------------ #
-        (
-            jam_mask,
-            spoof_slots,
-            adversary_spend,
-            jammed_slots,
-            spoofed_transmissions,
-        ) = self._materialize_adversary_actions(
-            jam_plan, s, rng, activity() if jam_plan.reactive else None
+        active_slots: Optional[np.ndarray] = None
+        if jam_plan.reactive:
+            active_slots = _sorted_unique(_cat(alice_slots, relay_slots, nack_slots, decoy_slots))
+        jam, spoof, adversary_spend = self._materialize_adversary_actions(
+            jam_plan, s, rng, active_slots
         )
-        spoof_busy = np.zeros(s, dtype=bool)
-        spoof_busy[spoof_slots] = True
-
-        jam_affects_listeners = jam_plan.targeting.mode is not JamMode.NONE
-        victim = (
-            self._victim_mask(uninformed, jam_plan)
-            if jam_affects_listeners
-            else np.zeros(num_u, dtype=bool)
-        )
+        victim = jam_plan.targeting.affects_array(uninformed)
+        if topology is None or topology.is_single_hop:
+            audience: "_Clique | _Neighbourhoods" = _Clique(num_u)
+        else:
+            audience = _Neighbourhoods(network, uninformed, s)
 
         # ------------------------------------------------------------------ #
-        # 3. CSR neighbourhood expansion of the events                       #
+        # 3. Deliveries: each listener's K-th good slot, to a fixpoint       #
         # ------------------------------------------------------------------ #
-        def expand(sender_rows: np.ndarray, slots: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-            """Listener-position keys ``pos·s + slot`` of all audible pairs,
-            plus the slots in which Alice hears the senders."""
-
-            if sender_rows.size == 0:
-                return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-            origins, nbrs = csr.expand(sender_rows)
-            pair_slots = slots[origins]
-            pos = u_pos[nbrs]
-            active = pos >= 0
-            return pos[active] * s + pair_slots[active], pair_slots[nbrs == n]
-
-        payload_keys, alice_hears_relays = expand(relays[relay_idx], relay_slots)
-        if alice_slots.size:
-            alice_nbrs = csr.row(n).astype(np.int64, copy=False)
-            pos = u_pos[alice_nbrs]
-            pos = pos[pos >= 0]
-            payload_keys = np.concatenate(
-                [payload_keys, (pos[:, None] * s + alice_slots[None, :]).reshape(-1)]
-            )
-
-        # ------------------------------------------------------------------ #
-        # 4. Delivery (payload phases)                                       #
-        # ------------------------------------------------------------------ #
-        # A listener informed in slot t sends no nack or decoy after t, which
-        # can unblock other listeners' deliveries.  Resolving deliveries,
-        # dropping the events after each listener's delivery slot, and
-        # repeating reaches the slot engine's sequential outcome: every pass
-        # fixes at least the earliest slot that still differs, and each
-        # clean candidate keeps its listen draw across passes.
+        alice_keys, _ = audience.expand(np.array([network.n]), alice_idx, alice_slots)
+        relay_keys, alice_hears_relays = audience.expand(relays, relay_idx, relay_slots)
+        del relay_idx  # often the phase's largest array
+        payload_keys = _cat(alice_keys, relay_keys)
         p_listen = plan.uninformed_listen_prob
-        resolves_delivery = bool(plan.carries_payload and num_u and p_listen > 0)
-        drawn_keys = heard_keys = np.empty(0, dtype=np.int64)
+        first_heard = None
+        if plan.carries_payload and num_u and p_listen > 0:
+            first_heard = rng.geometric(p_listen, size=num_u)
+        informed_at = np.full(num_u, -1, dtype=np.int64)
+        good = np.zeros(num_u, dtype=np.int64)
         while True:
-            nack_noise, alice_hears_nacks = expand(uninformed[nack_idx], nack_slots)
-            decoy_noise, alice_hears_decoys = expand(decoys[decoy_idx], decoy_slots)
-            noise_keys = np.concatenate([nack_noise, decoy_noise])
-            # Slots in which each *listener* transmits (it cannot listen
-            # there); `nack_idx` already is the sender's listener position.
-            decoy_lpos = u_pos[decoys[decoy_idx]]
-            listening_decoy = decoy_lpos >= 0
-            own_keys = np.unique(
-                np.concatenate(
-                    [
-                        nack_idx * s + nack_slots,
-                        decoy_lpos[listening_decoy] * s + decoy_slots[listening_decoy],
-                    ]
-                )
+            nack_keys, alice_hears_nacks = audience.expand(uninformed, nack_idx, nack_slots)
+            decoy_keys, alice_hears_decoys = audience.expand(decoys, decoy_idx, decoy_slots)
+            listening_decoy = decoy_pos >= 0
+            # A listener cannot hear the slots it transmits in.
+            own_keys = audience.own_keys(
+                _cat(nack_idx, decoy_pos[listening_decoy]),
+                _cat(nack_slots, decoy_slots[listening_decoy]),
             )
-
-            newly_informed = EMPTY_IDS
-            delivery_slots = 0
-            informed_at = np.full(num_u, -1, dtype=np.int64)
-            clean_keys = np.empty(0, dtype=np.int64)
-            if resolves_delivery and payload_keys.size:
-                cand, payload_count = np.unique(payload_keys, return_counts=True)
-                clean = payload_count == 1
-                if noise_keys.size:
-                    clean &= ~np.isin(cand, noise_keys)
-                if own_keys.size:
-                    clean &= ~np.isin(cand, own_keys)
-                cand_pos = cand // s
-                cand_slot = cand % s
-                clean &= ~spoof_busy[cand_slot]
-                if jam_affects_listeners:
-                    clean &= ~(jam_mask[cand_slot] & victim[cand_pos])
-                clean_keys = cand[clean]
-                cand_pos, cand_slot = cand_pos[clean], cand_slot[clean]
-                fresh = ~np.isin(clean_keys, drawn_keys)
-                heard = np.isin(clean_keys, heard_keys)
-                heard[fresh] = rng.random(int(fresh.sum())) < p_listen
-                drawn_keys, heard_keys = clean_keys, clean_keys[heard]
-                heard_pos, heard_slot = cand_pos[heard], cand_slot[heard]
-                if heard_pos.size:
-                    # `cand` was sorted by (listener, slot): the first
-                    # occurrence of each listener is its earliest heard
-                    # clean delivery.
-                    first_pos, first_index = np.unique(heard_pos, return_index=True)
-                    first_slot = heard_slot[first_index]
-                    informed_at[first_pos] = first_slot
-                    newly_informed = uninformed[first_pos]
-                    delivery_slots = int(np.unique(first_slot).size)
-
-            informed_mask = informed_at >= 0
-            # Inclusive active window per listener: a node informed in slot t
-            # stops after t.
-            cutoff = np.where(informed_mask, informed_at, s - 1)
+            if first_heard is None:
+                break
+            clean = _clean_keys(payload_keys, _cat(nack_keys, decoy_keys, own_keys))
+            clean = clean[~spoof.contains(clean % s)]
+            good, informed_at = _kth_slot(audience, clean, s, first_heard)
+            if jam.size and victim.any():
+                jam_free = clean[~jam.contains(clean % s)]
+                victim_good, victim_at = _kth_slot(audience, jam_free, s, first_heard)
+                good = np.where(victim, victim_good, good)
+                informed_at = np.where(victim, victim_at, informed_at)
+            informed = informed_at >= 0
+            # Good slots inside each listener's window.
+            good = np.where(informed, first_heard, good)
+            if not informed.any():
+                break
+            # A listener informed in slot t sends nothing after t.
+            cutoff = np.where(informed, informed_at, s - 1)
             nack_live = nack_slots <= cutoff[nack_idx]
-            # Decoys that are not active listeners have no cutoff (and with
-            # no active listeners `cutoff` is empty), so index only the rest.
-            decoy_live = np.ones(decoy_idx.size, dtype=bool)
+            decoy_live = ~listening_decoy
             decoy_live[listening_decoy] = (
-                decoy_slots[listening_decoy] <= cutoff[decoy_lpos[listening_decoy]]
+                decoy_slots[listening_decoy] <= cutoff[decoy_pos[listening_decoy]]
             )
             if nack_live.all() and decoy_live.all():
                 break
             nack_idx, nack_slots = nack_idx[nack_live], nack_slots[nack_live]
             decoy_idx, decoy_slots = decoy_idx[decoy_live], decoy_slots[decoy_live]
+            decoy_pos = decoy_pos[decoy_live]
 
-        busy_slots = int(np.count_nonzero(activity() | spoof_busy | jam_mask))
+        informed_mask = informed_at >= 0
+        newly_informed = uninformed[informed_mask]
+        delivery_slots = int(_sorted_unique(informed_at[informed_mask]).size)
+        busy_slots = jam.union_size(
+            _sorted_unique(_cat(alice_slots, relay_slots, nack_slots, decoy_slots, spoof.offsets))
+        )
 
         # ------------------------------------------------------------------ #
-        # 5. Listener costs and request-phase noise counts                   #
+        # 4. Listener costs and request-phase noise counts                   #
         # ------------------------------------------------------------------ #
-        node_noisy = zero_counts(num_u)
+        node_noisy = EMPTY_IDS
         if num_u:
-            # Every surviving nack and own send lies in its sender's window.
             nack_cost = np.bincount(nack_idx, minlength=num_u)
-            own_sends = np.bincount(own_keys // s, minlength=num_u)
-
+            own = nack_cost + np.bincount(decoy_pos[listening_decoy], minlength=num_u)
+            # Inclusive listening window: a listener informed in slot t
+            # stops after t.
+            window = np.where(informed_mask, informed_at + 1, s)
+            listen_cost = np.zeros(num_u, dtype=np.int64)
             if p_listen > 0:
-                listenable = np.maximum(cutoff + 1 - own_sends, 0)
-                # Marginal truncation (documented approximation, as in the
-                # single-hop path): an informed node's pre-delivery listening
-                # cost is a binomial over its active window, plus the delivery
-                # slot it actually heard.
-                draw_window = np.where(informed_mask, np.maximum(listenable - 1, 0), listenable)
-                listen_cost = rng.binomial(draw_window, p_listen) + informed_mask.astype(np.int64)
-            else:
-                listen_cost = np.zeros(num_u, dtype=np.int64)
-
-            if plan.kind is PhaseKind.REQUEST and p_listen > 0:
-                # Exact per-listener noisy-slot counts within each listener's
-                # active window: globally-noisy slots (spoofing, and jamming
-                # for victims) plus the listener's own audible slots, minus
-                # clean deliveries, overlap, and half-duplex exclusions: per
-                # slot, `jam | ((payload + other > 0) & ~clean_delivery)`.
-                global_noisy_victim = spoof_busy | jam_mask
-                victim_cum = np.cumsum(global_noisy_victim)
-                spared_cum = np.cumsum(spoof_busy)
-                # Count of globally-noisy slots in [0, cutoff], per listener.
-                n_noisy = np.where(victim, victim_cum[cutoff], spared_cum[cutoff])
-
-                audible_keys = np.unique(np.concatenate([noise_keys, payload_keys]))
-                if clean_keys.size:
-                    audible_keys = audible_keys[~np.isin(audible_keys, clean_keys)]
-                if audible_keys.size:
-                    a_pos = audible_keys // s
-                    a_slot = audible_keys % s
-                    in_window = a_slot <= cutoff[a_pos]
-                    a_pos, a_slot = a_pos[in_window], a_slot[in_window]
-                    is_global = np.where(
-                        victim[a_pos], global_noisy_victim[a_slot], spoof_busy[a_slot]
+                if plan.kind is PhaseKind.REQUEST:
+                    busy = self._busy_in_window(
+                        audience,
+                        _cat(payload_keys, nack_keys, decoy_keys, own_keys),
+                        s,
+                        jam,
+                        spoof,
+                        victim,
+                        window - 1,
                     )
-                    n_noisy = n_noisy + np.bincount(a_pos[~is_global], minlength=num_u)
-                if own_keys.size:
-                    # A transmitting node cannot hear the slot it sends in.
-                    own_pos = own_keys // s
-                    own_slot = own_keys % s
-                    own_noisy = np.where(
-                        victim[own_pos], global_noisy_victim[own_slot], spoof_busy[own_slot]
-                    )
-                    if audible_keys.size:
-                        own_noisy |= np.isin(own_keys, audible_keys)
-                    n_noisy = n_noisy - np.bincount(own_pos[own_noisy], minlength=num_u)
-                node_noisy = rng.binomial(np.maximum(n_noisy, 0), p_listen)
-
+                    node_noisy = rng.binomial(busy - own - good, p_listen)
+                    listen_cost = node_noisy + rng.binomial(window - busy, p_listen)
+                else:
+                    listen_cost = rng.binomial(window - own - good, p_listen)
+                listen_cost = listen_cost + informed_mask
             ledger.charge_many(uninformed, listen_cost + nack_cost)
 
         # ------------------------------------------------------------------ #
-        # 6. Alice                                                           #
+        # 5. Alice                                                           #
         # ------------------------------------------------------------------ #
         alice_send_slots = int(alice_slots.size)
         if alice_send_slots:
             ledger.charge_bulk(ledger.alice, float(alice_send_slots))
-
         alice_noisy = 0
         alice_listen_slots = 0
         if roles.alice_active and plan.alice_listen_prob > 0:
-            noisy_for_alice = spoof_busy.copy()
-            for heard_slots in (alice_hears_relays, alice_hears_nacks, alice_hears_decoys):
-                noisy_for_alice[heard_slots] = True
-            if jam_plan.targeting.affects(ALICE_ID):
-                noisy_for_alice = noisy_for_alice | jam_mask
-            if alice_send_slots:
-                noisy_for_alice[alice_slots] = False  # half-duplex
-            n_noisy_alice = int(np.count_nonzero(noisy_for_alice))
-            n_quiet_alice = s - alice_send_slots - n_noisy_alice
-            alice_noisy = int(rng.binomial(n_noisy_alice, plan.alice_listen_prob))
-            alice_listen_slots = alice_noisy + int(
-                rng.binomial(max(n_quiet_alice, 0), plan.alice_listen_prob)
+            # Her busy slots include her own sends, in which she cannot listen.
+            heard = _sorted_unique(
+                _cat(alice_hears_relays, alice_hears_nacks, alice_hears_decoys, spoof.offsets, alice_slots)
             )
+            alice_jam = jam if jam_plan.targeting.affects(ALICE_ID) else _NO_SLOTS
+            alice_busy = alice_jam.union_size(heard)
+            alice_noisy = int(rng.binomial(alice_busy - alice_send_slots, plan.alice_listen_prob))
+            alice_listen_slots = alice_noisy + int(rng.binomial(s - alice_busy, plan.alice_listen_prob))
             if alice_listen_slots:
                 ledger.charge_bulk(ledger.alice, float(alice_listen_slots))
 
         # ------------------------------------------------------------------ #
-        # 7. Relay and decoy send costs (exact event counts)                 #
+        # 6. Decoy send costs                                                #
         # ------------------------------------------------------------------ #
-        if relay_idx.size:
-            ledger.charge_many(relays, np.bincount(relay_idx, minlength=num_r))
         if decoy_idx.size:
-            ledger.charge_many(decoys, np.bincount(decoy_idx, minlength=num_d))
+            ledger.charge_many(decoys, np.bincount(decoy_idx, minlength=decoys.size))
 
         result = PhaseResult(
             plan=plan,
             newly_informed=newly_informed,
-            jammed_slots=jammed_slots,
+            jammed_slots=jam.size,
             adversary_spend=adversary_spend,
             alice_noisy_heard=alice_noisy,
             node_noisy_heard=node_noisy,
@@ -606,11 +477,11 @@ class PhaseEngine:
             busy_slots=busy_slots,
             alice_send_slots=alice_send_slots,
             alice_listen_slots=alice_listen_slots,
-            spoofed_transmissions=spoofed_transmissions,
+            spoofed_transmissions=spoof.size,
         )
         if self.recorder.enabled:
             self.recorder.record(
-                engine_event("multihop-sparse", result, jam_victims=int(victim.sum()))
+                engine_event(audience.path, result, jam_victims=int(victim.sum()))
             )
         return result
 
@@ -618,99 +489,75 @@ class PhaseEngine:
     # Internals                                                           #
     # ------------------------------------------------------------------ #
 
+    @staticmethod
+    def _busy_in_window(
+        audience: "_Clique | _Neighbourhoods",
+        row_keys: np.ndarray,
+        s: int,
+        jam: _SlotSet,
+        spoof: _SlotSet,
+        victim: np.ndarray,
+        last: np.ndarray,
+    ) -> np.ndarray:
+        """Per listener, the slots in ``[0, last]`` that carry anything it
+        could hear: an audible or own transmission, a spoof, or a jam that
+        hits it."""
+
+        row_keys = _sorted_unique(row_keys)
+        if spoof.size:
+            row_keys = row_keys[~spoof.contains(row_keys % s)]
+        base = audience.row_of * s
+
+        def in_window(keys: np.ndarray) -> np.ndarray:
+            return np.searchsorted(keys, base + last, side="right") - np.searchsorted(keys, base)
+
+        busy = in_window(row_keys) + spoof.count_le(last)
+        if jam.size and victim.any():
+            jammed = in_window(row_keys[jam.contains(row_keys % s)])
+            busy[victim] += jam.count_le(last[victim]) - jammed[victim]
+        return busy
+
     def _materialize_adversary_actions(
         self,
         jam_plan: JamPlan,
         s: int,
         rng: np.random.Generator,
-        correct_activity: Optional[np.ndarray],
-    ) -> "tuple[np.ndarray, np.ndarray, float, int, int]":
+        active_slots: Optional[np.ndarray],
+    ) -> "tuple[_SlotSet, _SlotSet, float]":
         """Materialise jamming and spoofing for one phase under the budget.
 
-        Shared by the single-hop and multi-hop paths so the truncation rules
-        (jams charged first; spoof truncation drops nack spoofs before
-        payload spoofs — arbitrary but deterministic) cannot diverge.
-        ``correct_activity`` is needed only by reactive plans.  Returns
-        ``(jam_mask, spoof_slots, adversary_spend, jammed_slots,
-        spoofed_transmissions)``; ``spoof_slots`` are distinct and disjoint
-        from the jammed slots.
+        Jams are charged first; spoof truncation drops nack spoofs before
+        payload spoofs (arbitrary but deterministic).  ``active_slots`` is
+        needed only by reactive plans.  Returns ``(jam, spoof,
+        adversary_spend)``; the spoofed slots are disjoint from the jammed
+        ones.
         """
 
         ledger = self.network.ledger
         carol = ledger.carol
-        jam_offsets = materialize_jam_slots(jam_plan, s, rng, activity_mask=correct_activity)
-        affordable_jams = int(min(len(jam_offsets), np.floor(ledger.remaining(carol))))
-        jam_offsets = jam_offsets[:affordable_jams]
-        jam_spend = ledger.charge_bulk(carol, float(len(jam_offsets)))
-        jam_offsets = jam_offsets[: int(jam_spend)]
-        jam_mask = np.zeros(s, dtype=bool)
-        jam_mask[jam_offsets] = True
-
-        spoof_payload = materialize_spoof_slots(
-            jam_plan.spoof_payload_slots, s, rng, exclude=jam_offsets
-        )
-        spoof_nack = materialize_spoof_slots(
-            jam_plan.spoof_nack_slots,
-            s,
-            rng,
-            exclude=np.concatenate((jam_offsets, spoof_payload)),
-        )
-        spoof_budget = ledger.charge_bulk(carol, float(len(spoof_payload) + len(spoof_nack)))
-        total_spoofs = int(spoof_budget)
-        keep_payload = min(len(spoof_payload), total_spoofs)
-        keep_nack = min(len(spoof_nack), total_spoofs - keep_payload)
-        spoof_slots = np.concatenate((spoof_payload[:keep_payload], spoof_nack[:keep_nack]))
-
-        adversary_spend = float(jam_spend + spoof_budget)
-        return jam_mask, spoof_slots, adversary_spend, len(jam_offsets), len(spoof_slots)
-
-    @staticmethod
-    def _truncate_informed_listening(
-        rng: np.random.Generator,
-        listen_cost: np.ndarray,
-        informed_mask: np.ndarray,
-        good_per_node: np.ndarray,
-        p_listen: float,
-        num_slots: int,
-    ) -> np.ndarray:
-        """Stop charging listening once a node has received the message.
-
-        A node that becomes informed stops listening for the remainder of the
-        phase (the slot engine models this exactly).  For each informed node
-        we sample which of its ``g`` delivery opportunities was the first one
-        it actually heard — a geometric draw truncated to ``g`` trials — place
-        that opportunity proportionally within the phase (delivery slots are
-        spread roughly uniformly), and charge listening only up to that point.
-        """
-
-        informed_idx = np.flatnonzero(informed_mask)
-        g = np.maximum(good_per_node[informed_idx], 1)
-        if p_listen >= 1.0:
-            first_success = np.ones(informed_idx.size, dtype=np.int64)
+        if _covers_phase(jam_plan, s):
+            jam = _SlotSet(prefix=s)
         else:
-            q = 1.0 - p_listen
-            truncation = 1.0 - np.power(q, g)
-            u = rng.random(informed_idx.size) * truncation
-            with np.errstate(divide="ignore"):
-                first_success = np.ceil(np.log1p(-u) / np.log(q)).astype(np.int64)
-            first_success = np.clip(first_success, 1, g)
-        # Position of the first-heard delivery opportunity within the phase.
-        position = np.minimum(
-            np.ceil(first_success / g * num_slots).astype(np.int64), num_slots
-        )
-        truncated = rng.binomial(np.maximum(position - 1, 0), p_listen) + 1
-        result = listen_cost.copy()
-        result[informed_idx] = np.minimum(truncated, listen_cost[informed_idx] + 1)
-        return result
+            jam = _SlotSet(materialize_jam_slots(jam_plan, s, rng, active_slots=active_slots))
+        # At most her remaining budget, so the whole charge goes through.
+        jam = jam.first(int(min(jam.size, np.floor(ledger.remaining(carol)))))
+        spend = ledger.charge_bulk(carol, float(jam.size))
 
-    @staticmethod
-    def _victim_mask(node_ids: np.ndarray, jam_plan: JamPlan) -> np.ndarray:
-        """Boolean mask of which nodes are affected by the plan's jamming.
-
-        Recomputed every phase from the plan's (possibly freshly re-targeted)
-        :class:`~repro.simulation.channel.JamTargeting` — mobile and reactive
-        disk jammers change victims per phase, so nothing here may be cached
-        per run — via the targeting's vectorised membership test.
-        """
-
-        return jam_plan.targeting.affects_array(node_ids)
+        spoof = _NO_SLOTS
+        if jam_plan.spoof_payload_slots > 0 or jam_plan.spoof_nack_slots > 0:
+            jammed = jam.array()
+            spoof_payload = materialize_spoof_slots(
+                jam_plan.spoof_payload_slots, s, rng, exclude=jammed
+            )
+            spoof_nack = materialize_spoof_slots(
+                jam_plan.spoof_nack_slots, s, rng, exclude=np.concatenate((jammed, spoof_payload))
+            )
+            spoof_spend = ledger.charge_bulk(carol, float(len(spoof_payload) + len(spoof_nack)))
+            spend += spoof_spend
+            total_spoofs = int(spoof_spend)
+            keep_payload = min(len(spoof_payload), total_spoofs)
+            keep_nack = min(len(spoof_nack), total_spoofs - keep_payload)
+            spoof = _SlotSet(
+                np.sort(np.concatenate((spoof_payload[:keep_payload], spoof_nack[:keep_nack])))
+            )
+        return jam, spoof, float(spend)

@@ -13,7 +13,10 @@ same *kind* of attack regardless of which engine executes it:
 Every plan resolves to sorted ``int64`` slot offsets with array operations
 only — no per-slot Python — so the cost follows numpy, not Carol's attack
 volume.  The random draws (their arguments and their order) are pinned by the
-single-hop golden regression for both engines.
+single-hop golden regression for both engines.  The fast engine resolves a
+non-reactive count plan that covers its whole phase to the interval
+``[0, s)`` without calling in here, and it alone resolves reactive plans
+here (the slot engine decides those slot by slot).
 
 Budget capping is applied by the caller (the engines), because only they know
 how much of Carol's aggregate budget remains at the moment of each attack.
@@ -34,7 +37,7 @@ def materialize_jam_slots(
     plan: JamPlan,
     num_slots: int,
     rng: np.random.Generator,
-    activity_mask: Optional[np.ndarray] = None,
+    active_slots: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Return the sorted slot offsets (0-based within the phase) to jam.
 
@@ -46,10 +49,10 @@ def materialize_jam_slots(
         Length of the phase.
     rng:
         Random generator used for rate-based and random-subset selection.
-    activity_mask:
-        For reactive plans, a boolean array of length ``num_slots`` marking
-        slots that carry correct-side transmissions.  Required when
-        ``plan.reactive`` is set and the plan selects by count or rate.
+    active_slots:
+        For reactive plans, the sorted offsets of the slots that carry
+        correct-side transmissions.  Required when ``plan.reactive`` is set
+        and the plan selects by count or rate.
     """
 
     if num_slots <= 0:
@@ -63,14 +66,13 @@ def materialize_jam_slots(
         return indices[lo:hi]
 
     if plan.reactive:
-        if activity_mask is None:
-            raise ValueError("reactive jam plans require an activity mask")
-        active = np.flatnonzero(np.asarray(activity_mask, dtype=bool))
+        if active_slots is None:
+            raise ValueError("reactive jam plans require the phase's active slots")
         if plan.jam_rate is not None:
-            keep = rng.random(active.size) < plan.jam_rate
-            return active[keep]
-        count = min(plan.num_jam_slots, active.size)
-        return active[:count]
+            keep = rng.random(active_slots.size) < plan.jam_rate
+            return active_slots[keep]
+        count = min(plan.num_jam_slots, active_slots.size)
+        return active_slots[:count]
 
     if plan.jam_rate is not None:
         mask = rng.random(num_slots) < plan.jam_rate

@@ -35,7 +35,6 @@ __all__ = [
     "JamPlan",
     "PhaseResult",
     "EMPTY_IDS",
-    "zero_counts",
     "AdversaryStrategy",
     "clip_probability",
 ]
@@ -134,21 +133,6 @@ class PhasePlan:
 EMPTY_IDS = np.zeros(0, dtype=np.int64)
 EMPTY_IDS.setflags(write=False)
 """The shared read-only empty id array (no relays, nobody informed, ...)."""
-
-
-_ZERO_COUNT = np.zeros(1, dtype=np.int64)
-_ZERO_COUNT.setflags(write=False)
-
-
-def zero_counts(size: int) -> np.ndarray:
-    """``size`` zero ``int64`` counts that occupy no memory.
-
-    The ``node_noisy_heard`` of a phase that counted no noise: a read-only
-    zero-stride view.  Adversaries keep every phase's result for the whole
-    run, so an allocated array here would cost O(cohort) memory per phase.
-    """
-
-    return np.broadcast_to(_ZERO_COUNT, (size,))
 
 
 def _as_sorted_ids(ids: "Sequence[int] | FrozenSet[int] | np.ndarray") -> np.ndarray:
@@ -332,11 +316,11 @@ class PhaseResult:
     * ``newly_informed`` — the node ids that received ``m``, a sorted,
       unique ``int64`` array drawn from the phase's
       ``roles.active_uninformed_ids``;
-    * ``node_noisy_heard`` — an ``int64`` array aligned with
-      ``roles.active_uninformed_ids``: entry ``j`` is how many noisy slots
-      the ``j``-th cohort member heard.  The fast engine measures it in
-      request phases only and reports :func:`zero_counts` elsewhere; an
-      empty array means no listener heard anything.
+    * ``node_noisy_heard`` — in a request phase, an ``int64`` array aligned
+      with ``roles.active_uninformed_ids``: entry ``j`` is how many noisy
+      slots the ``j``-th cohort member heard.  Both engines report it for
+      request phases only; other phases (and empty ones) leave it at the
+      empty default, and an empty array means no listener heard anything.
 
     Equality is identity: arrays have no boolean ``==``.
     """

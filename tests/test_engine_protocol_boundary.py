@@ -1,8 +1,9 @@
 """The engine→protocol boundary is arrays end to end.
 
 Every engine path returns ``PhaseResult.newly_informed`` as a sorted, unique
-``int64`` subset of the phase's cohort and ``node_noisy_heard`` aligned with
-``roles.active_uninformed_ids``; the protocol side applies a phase with mask
+``int64`` subset of the phase's cohort and, in request phases,
+``node_noisy_heard`` aligned with ``roles.active_uninformed_ids``; the
+protocol side applies a phase with mask
 arithmetic (one vectorised quiet test per request phase) and never builds a
 Python container per node.
 """
@@ -96,7 +97,9 @@ class TestPhaseResultContract:
             assert np.isin(newly, cohort).all(), f"{plan.name}: informed outside the cohort"
             heard = result.node_noisy_heard
             assert isinstance(heard, np.ndarray) and heard.dtype == np.int64, plan.name
-            assert heard.shape == cohort.shape, plan.name
+            # Noise is reported for request phases only.
+            expected = cohort.shape if plan.kind is PhaseKind.REQUEST else (0,)
+            assert heard.shape == expected, plan.name
             assert (heard >= 0).all()
             informed += newly.size
             request_cohorts += plan.kind is PhaseKind.REQUEST and cohort.size > 0

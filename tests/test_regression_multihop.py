@@ -13,6 +13,11 @@ arrays (pinned by sha256), every per-node informed slot and termination round
   case that exercises cap-aware truncation and relay retirement hardest.
 * Slot-engine rows pin the same protocol at ``n = 64`` against the
   reference semantics.
+
+The fast rows were re-captured once, when the fast engine's sampler became
+the geometric-gap walk and its informed stop a geometric index into each
+listener's good slots; that moved its random stream.  The slot rows and the
+CSR digests were not touched.
 """
 
 from __future__ import annotations
@@ -66,15 +71,15 @@ def run_snapshot(kind: str, engine: str, n: int, seed: int) -> dict:
 
 # (kind, engine, n, seed) -> snapshot captured before the graph-kernel rewrite.
 GOLDEN = {
-    ("gilbert", "fast", 2000, 1): {"alice": 2346.0, "adversary": 0.0, "node_mean": 2471.8545, "node_max": 4808.0, "node_total": 4943709.0, "informed": 2000, "terminated_uninformed": 0, "slots": 58074, "rounds": 9, "cap": False, "nodes": "21809356dff2df70"},
-    ("gilbert", "fast", 2000, 3): {"alice": 2360.0, "adversary": 0.0, "node_mean": 2045.317, "node_max": 5476.0, "node_total": 4090634.0, "informed": 2000, "terminated_uninformed": 0, "slots": 58352, "rounds": 9, "cap": False, "nodes": "1fae0d91622dbee2"},
-    ("gilbert", "fast", 2000, 7): {"alice": 2363.0, "adversary": 0.0, "node_mean": 2460.6625, "node_max": 5127.0, "node_total": 4921325.0, "informed": 2000, "terminated_uninformed": 0, "slots": 58424, "rounds": 9, "cap": False, "nodes": "89084bc52f035bbb"},
-    ("scale_free", "fast", 2000, 1): {"alice": 2372.0, "adversary": 0.0, "node_mean": 657.0865, "node_max": 3153.0, "node_total": 1314173.0, "informed": 2000, "terminated_uninformed": 0, "slots": 55832, "rounds": 9, "cap": False, "nodes": "b49330047d150f24"},
-    ("scale_free", "fast", 2000, 3): {"alice": 2378.0, "adversary": 0.0, "node_mean": 335.0795, "node_max": 356.0, "node_total": 670159.0, "informed": 2000, "terminated_uninformed": 0, "slots": 53893, "rounds": 9, "cap": False, "nodes": "fcaf918baa029476"},
-    ("scale_free", "fast", 2000, 7): {"alice": 2363.0, "adversary": 0.0, "node_mean": 238.5445, "node_max": 1006.0, "node_total": 477089.0, "informed": 2000, "terminated_uninformed": 0, "slots": 54579, "rounds": 9, "cap": False, "nodes": "1277b430f6b3ceb3"},
-    ("subcritical", "fast", 2000, 1): {"alice": 2260.0, "adversary": 0.0, "node_mean": 1040.0115, "node_max": 33699.0, "node_total": 2080023.0, "informed": 66, "terminated_uninformed": 1934, "slots": 537847, "rounds": 11, "cap": False, "nodes": "1554a280391cf9f9"},
-    ("subcritical", "fast", 2000, 3): {"alice": 2333.0, "adversary": 0.0, "node_mean": 1134.0765, "node_max": 20928.0, "node_total": 2268153.0, "informed": 28, "terminated_uninformed": 1972, "slots": 247641, "rounds": 10, "cap": False, "nodes": "bb34fc0c19b428a1"},
-    ("subcritical", "fast", 2000, 7): {"alice": 2362.0, "adversary": 0.0, "node_mean": 583.0785, "node_max": 1483.0, "node_total": 1166157.0, "informed": 3, "terminated_uninformed": 1997, "slots": 53760, "rounds": 9, "cap": False, "nodes": "039cb65697aa465a"},
+    ("gilbert", "fast", 2000, 1): {"alice": 2383.0, "adversary": 0.0, "node_mean": 2379.051, "node_max": 4532.0, "node_total": 4758102.0, "informed": 2000, "terminated_uninformed": 0, "slots": 57742, "rounds": 9, "cap": False, "nodes": "bd50e349ee2584b1"},
+    ("gilbert", "fast", 2000, 3): {"alice": 2273.0, "adversary": 0.0, "node_mean": 2702.0365, "node_max": 4941.0, "node_total": 5404073.0, "informed": 2000, "terminated_uninformed": 0, "slots": 58168, "rounds": 9, "cap": False, "nodes": "54dd04f0075230c8"},
+    ("gilbert", "fast", 2000, 7): {"alice": 2377.0, "adversary": 0.0, "node_mean": 1781.9125, "node_max": 3835.0, "node_total": 3563825.0, "informed": 2000, "terminated_uninformed": 0, "slots": 57088, "rounds": 9, "cap": False, "nodes": "f6b4244b998f7753"},
+    ("scale_free", "fast", 2000, 1): {"alice": 2339.0, "adversary": 0.0, "node_mean": 839.425, "node_max": 2492.0, "node_total": 1678850.0, "informed": 2000, "terminated_uninformed": 0, "slots": 55027, "rounds": 9, "cap": False, "nodes": "769500ac03836a4e"},
+    ("scale_free", "fast", 2000, 3): {"alice": 2437.0, "adversary": 0.0, "node_mean": 412.548, "node_max": 1480.0, "node_total": 825096.0, "informed": 2000, "terminated_uninformed": 0, "slots": 54656, "rounds": 9, "cap": False, "nodes": "acd356891ea570b2"},
+    ("scale_free", "fast", 2000, 7): {"alice": 2381.0, "adversary": 0.0, "node_mean": 572.1325, "node_max": 1388.0, "node_total": 1144265.0, "informed": 2000, "terminated_uninformed": 0, "slots": 54984, "rounds": 9, "cap": False, "nodes": "53ef581764f03783"},
+    ("subcritical", "fast", 2000, 1): {"alice": 2312.0, "adversary": 0.0, "node_mean": 1084.8045, "node_max": 17013.0, "node_total": 2169609.0, "informed": 66, "terminated_uninformed": 1934, "slots": 113064, "rounds": 9, "cap": False, "nodes": "f039d25c118d9834"},
+    ("subcritical", "fast", 2000, 3): {"alice": 2406.0, "adversary": 0.0, "node_mean": 815.9235, "node_max": 25331.0, "node_total": 1631847.0, "informed": 28, "terminated_uninformed": 1972, "slots": 327409, "rounds": 10, "cap": False, "nodes": "a7a0113c575d15c8"},
+    ("subcritical", "fast", 2000, 7): {"alice": 2381.0, "adversary": 0.0, "node_mean": 592.8295, "node_max": 21372.0, "node_total": 1185659.0, "informed": 3, "terminated_uninformed": 1997, "slots": 337428, "rounds": 11, "cap": False, "nodes": "b8b7986bd51e9a8e"},
     ("gilbert", "slot", 64, 3): {"alice": 750.0, "adversary": 0.0, "node_mean": 8.59375, "node_max": 80.0, "node_total": 550.0, "informed": 64, "terminated_uninformed": 0, "slots": 6735, "rounds": 7, "cap": False, "nodes": "bba197e56eee90da"},
     ("gilbert", "slot", 64, 11): {"alice": 793.0, "adversary": 0.0, "node_mean": 24.46875, "node_max": 104.0, "node_total": 1566.0, "informed": 64, "terminated_uninformed": 0, "slots": 6760, "rounds": 7, "cap": False, "nodes": "24ac7c38fef7a0b0"},
     ("scale_free", "slot", 64, 3): {"alice": 750.0, "adversary": 0.0, "node_mean": 16.4375, "node_max": 58.0, "node_total": 1052.0, "informed": 64, "terminated_uninformed": 0, "slots": 6750, "rounds": 7, "cap": False, "nodes": "b6cb531d7cfee7db"},

@@ -17,6 +17,10 @@ what this test exists to catch.
 The ``bursty`` and ``spoofing`` rows were captured later, from the code that
 still built burst schedules and spoof candidates slot by slot in Python, so
 they pin the draws of the vectorised jam-plan materialisation too.
+
+The ``fast`` rows were re-captured once, when the fast engine moved from
+per-slot aggregate counts to sampled send events with an exact informed
+stop; that moved its random stream.  The ``slot`` rows were not touched.
 """
 
 from __future__ import annotations
@@ -45,28 +49,28 @@ ADVERSARIES = {
 
 # (adversary, engine, seed) -> pre-refactor snapshot at n = 40.
 GOLDEN = {
-    ("none", "fast", 3): {"alice": 484.0, "adversary": 0.0, "node_mean": 1.05, "node_max": 2.0, "node_total": 42.0, "informed": 40, "slots": 2373},
-    ("none", "fast", 11): {"alice": 517.0, "adversary": 0.0, "node_mean": 1.075, "node_max": 2.0, "node_total": 43.0, "informed": 40, "slots": 2373},
+    ("none", "fast", 3): {"alice": 509.0, "adversary": 0.0, "node_mean": 1.15, "node_max": 2.0, "node_total": 46.0, "informed": 40, "slots": 2373},
+    ("none", "fast", 11): {"alice": 526.0, "adversary": 0.0, "node_mean": 1.05, "node_max": 2.0, "node_total": 42.0, "informed": 40, "slots": 2373},
     ("none", "slot", 3): {"alice": 492.0, "adversary": 0.0, "node_mean": 1.075, "node_max": 2.0, "node_total": 43.0, "informed": 40, "slots": 2373},
     ("none", "slot", 11): {"alice": 494.0, "adversary": 0.0, "node_mean": 1.05, "node_max": 2.0, "node_total": 42.0, "informed": 40, "slots": 2373},
-    ("blocker", "fast", 3): {"alice": 736.0, "adversary": 2000.0, "node_mean": 1570.525, "node_max": 1607.0, "node_total": 62821.0, "informed": 40, "slots": 6717},
-    ("blocker", "fast", 11): {"alice": 717.0, "adversary": 2000.0, "node_mean": 1614.075, "node_max": 1650.0, "node_total": 64563.0, "informed": 40, "slots": 6717},
+    ("blocker", "fast", 3): {"alice": 707.0, "adversary": 2000.0, "node_mean": 1726.0, "node_max": 1752.0, "node_total": 69040.0, "informed": 40, "slots": 6717},
+    ("blocker", "fast", 11): {"alice": 739.0, "adversary": 2000.0, "node_mean": 1490.55, "node_max": 1528.0, "node_total": 59622.0, "informed": 40, "slots": 6717},
     ("blocker", "slot", 3): {"alice": 670.0, "adversary": 2000.0, "node_mean": 1674.6, "node_max": 1705.0, "node_total": 66984.0, "informed": 40, "slots": 6717},
     ("blocker", "slot", 11): {"alice": 725.0, "adversary": 2000.0, "node_mean": 1752.175, "node_max": 1791.0, "node_total": 70087.0, "informed": 40, "slots": 6717},
-    ("random", "fast", 3): {"alice": 770.0, "adversary": 1500.0, "node_mean": 2.075, "node_max": 3.0, "node_total": 83.0, "informed": 40, "slots": 6717},
-    ("random", "fast", 11): {"alice": 725.0, "adversary": 1500.0, "node_mean": 2.075, "node_max": 3.0, "node_total": 83.0, "informed": 40, "slots": 6717},
+    ("random", "fast", 3): {"alice": 470.0, "adversary": 711.0, "node_mean": 1.125, "node_max": 2.0, "node_total": 45.0, "informed": 40, "slots": 2373},
+    ("random", "fast", 11): {"alice": 751.0, "adversary": 1500.0, "node_mean": 2.075, "node_max": 3.0, "node_total": 83.0, "informed": 40, "slots": 6717},
     ("random", "slot", 3): {"alice": 492.0, "adversary": 711.0, "node_mean": 1.075, "node_max": 2.0, "node_total": 43.0, "informed": 40, "slots": 2373},
     ("random", "slot", 11): {"alice": 725.0, "adversary": 1500.0, "node_mean": 1.05, "node_max": 2.0, "node_total": 42.0, "informed": 40, "slots": 6717},
-    ("splitter", "fast", 3): {"alice": 494.0, "adversary": 4421.0, "node_mean": 765.45, "node_max": 10255.0, "node_total": 30618.0, "informed": 37, "slots": 53760},
-    ("splitter", "fast", 11): {"alice": 512.0, "adversary": 4421.0, "node_mean": 759.5, "node_max": 10240.0, "node_total": 30380.0, "informed": 37, "slots": 53760},
+    ("splitter", "fast", 3): {"alice": 488.0, "adversary": 4421.0, "node_mean": 759.95, "node_max": 10155.0, "node_total": 30398.0, "informed": 37, "slots": 53760},
+    ("splitter", "fast", 11): {"alice": 551.0, "adversary": 4421.0, "node_mean": 758.175, "node_max": 10182.0, "node_total": 30327.0, "informed": 37, "slots": 53760},
     ("splitter", "slot", 3): {"alice": 492.0, "adversary": 4421.0, "node_mean": 758.7, "node_max": 10159.0, "node_total": 30348.0, "informed": 37, "slots": 53760},
     ("splitter", "slot", 11): {"alice": 494.0, "adversary": 4421.0, "node_mean": 760.55, "node_max": 10208.0, "node_total": 30422.0, "informed": 37, "slots": 53760},
-    ("bursty", "fast", 3): {"alice": 746.0, "adversary": 1500.0, "node_mean": 11.225, "node_max": 13.0, "node_total": 449.0, "informed": 40, "slots": 6717},
-    ("bursty", "fast", 11): {"alice": 688.0, "adversary": 1500.0, "node_mean": 11.325, "node_max": 12.0, "node_total": 453.0, "informed": 40, "slots": 6717},
+    ("bursty", "fast", 3): {"alice": 725.0, "adversary": 1500.0, "node_mean": 14.175, "node_max": 16.0, "node_total": 567.0, "informed": 40, "slots": 6717},
+    ("bursty", "fast", 11): {"alice": 701.0, "adversary": 1500.0, "node_mean": 14.35, "node_max": 17.0, "node_total": 574.0, "informed": 40, "slots": 6717},
     ("bursty", "slot", 3): {"alice": 670.0, "adversary": 1500.0, "node_mean": 14.15, "node_max": 16.0, "node_total": 566.0, "informed": 40, "slots": 6717},
     ("bursty", "slot", 11): {"alice": 725.0, "adversary": 1500.0, "node_mean": 14.275, "node_max": 16.0, "node_total": 571.0, "informed": 40, "slots": 6717},
-    ("spoofing", "fast", 3): {"alice": 736.0, "adversary": 1500.0, "node_mean": 3.075, "node_max": 4.0, "node_total": 123.0, "informed": 40, "slots": 6717},
-    ("spoofing", "fast", 11): {"alice": 715.0, "adversary": 1500.0, "node_mean": 3.075, "node_max": 4.0, "node_total": 123.0, "informed": 40, "slots": 6717},
+    ("spoofing", "fast", 3): {"alice": 689.0, "adversary": 1500.0, "node_mean": 3.075, "node_max": 4.0, "node_total": 123.0, "informed": 40, "slots": 6717},
+    ("spoofing", "fast", 11): {"alice": 717.0, "adversary": 1500.0, "node_mean": 3.075, "node_max": 4.0, "node_total": 123.0, "informed": 40, "slots": 6717},
     ("spoofing", "slot", 3): {"alice": 670.0, "adversary": 1500.0, "node_mean": 3.15, "node_max": 4.0, "node_total": 126.0, "informed": 40, "slots": 6717},
     ("spoofing", "slot", 11): {"alice": 725.0, "adversary": 1500.0, "node_mean": 3.075, "node_max": 4.0, "node_total": 123.0, "informed": 40, "slots": 6717},
 }

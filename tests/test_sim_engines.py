@@ -229,6 +229,29 @@ class TestResultBookkeeping:
         assert result.jammed_fraction == pytest.approx(0.5)
 
 
+class TestNoiseReportedForRequestPhasesOnly:
+    """``node_noisy_heard`` is the request-phase quiet test's input, so both
+    engines leave it empty in every other phase, however noisy."""
+
+    def test_reports_are_empty_outside_request_phases(self, engine_factory):
+        network = make_network(n=24, seed=7)
+        engine = engine_factory(network)
+        everyone = PhaseRoles.of(range(network.n))
+        jam = lambda: JamPlan(num_jam_slots=40, targeting=JamTargeting.everyone())
+        noisy_plans = [
+            (inform_plan(num_slots=120, alice=0.6), everyone),
+            (propagation_plan(num_slots=120, relay=0.3),
+             PhaseRoles.of(range(12, 24), relays=range(12), decoy_senders=range(12, 24))),
+            (inform_plan(num_slots=0), everyone),
+        ]
+        for plan, roles in noisy_plans:
+            result = engine.run_phase(plan, roles, jam())
+            assert result.node_noisy_heard.size == 0, plan.name
+        result = engine.run_phase(request_plan(num_slots=120, nack=0.05), everyone, jam())
+        assert result.node_noisy_heard.shape == (network.n,)
+        assert result.node_noisy_heard.sum() > 0
+
+
 class TestDeterministicResultOrdering:
     """``PhaseResult.node_noisy_heard`` is aligned with the sorted cohort.
 

@@ -96,14 +96,14 @@ class TestMaterializeJamSlots:
 
     def test_reactive_jams_only_active_slots(self):
         plan = JamPlan(num_jam_slots=3, reactive=True)
-        activity = np.array([False, True, False, True, True, False, True])
-        slots = materialize_jam_slots(plan, 7, np.random.default_rng(0), activity_mask=activity)
+        active = np.array([1, 3, 4, 6])
+        slots = materialize_jam_slots(plan, 7, np.random.default_rng(0), active_slots=active)
         assert slots.tolist() == [1, 3, 4]
 
     def test_reactive_rate_subsets_active_slots(self):
         plan = JamPlan(jam_rate=1.0, reactive=True)
-        activity = np.array([True, False, True])
-        slots = materialize_jam_slots(plan, 3, np.random.default_rng(0), activity_mask=activity)
+        active = np.array([0, 2])
+        slots = materialize_jam_slots(plan, 3, np.random.default_rng(0), active_slots=active)
         assert slots.tolist() == [0, 2]
 
     def test_zero_slots_phase(self):
