@@ -84,13 +84,18 @@ def _sample_bernoulli_events(
     cells = num * s
     mean = cells * p
     chunk = int(mean + 4.0 * math.sqrt(mean) + 16.0)
-    flat = rng.geometric(p, size=chunk)
-    np.cumsum(flat, out=flat)
+
+    def gaps() -> np.ndarray:
+        # Any gap past the grid's end is as good as another; the clip keeps
+        # the running sums clear of int64 overflow at tiny p.
+        drawn = rng.geometric(p, size=chunk)
+        np.minimum(drawn, cells + 1, out=drawn)
+        return np.cumsum(drawn, out=drawn)
+
+    flat = gaps()
     flat -= 1
     while flat[-1] < cells:
-        more = rng.geometric(p, size=chunk)
-        np.cumsum(more, out=more)
-        flat = np.concatenate([flat, more + flat[-1]])
+        flat = np.concatenate([flat, gaps() + flat[-1]])
     flat = flat[: np.searchsorted(flat, cells)]
     idx = flat % num
     flat //= num
@@ -192,17 +197,6 @@ class _SlotSet:
 
 
 _NO_SLOTS = _SlotSet()
-
-
-def _covers_phase(jam_plan: JamPlan, s: int) -> bool:
-    """Whether a non-reactive count plan jams every slot of the phase."""
-
-    return (
-        jam_plan.slot_indices is None
-        and jam_plan.jam_rate is None
-        and not jam_plan.reactive
-        and jam_plan.num_jam_slots >= s
-    )
 
 
 class _Clique:
@@ -535,7 +529,14 @@ class PhaseEngine:
 
         ledger = self.network.ledger
         carol = ledger.carol
-        if _covers_phase(jam_plan, s):
+        covers_phase = (
+            jam_plan.slot_indices is None
+            and jam_plan.jam_rate is None
+            and not jam_plan.reactive
+            and jam_plan.num_jam_slots >= s
+        )
+        if covers_phase:
+            # A count plan for every slot is the interval [0, s): no draw.
             jam = _SlotSet(prefix=s)
         else:
             jam = _SlotSet(materialize_jam_slots(jam_plan, s, rng, active_slots=active_slots))

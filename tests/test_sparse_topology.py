@@ -347,20 +347,55 @@ class TestEnginePathEquivalence:
 
 
 class TestBernoulliEventSampler:
+    # (num, s, p): grids below and above 2**21 cells, rare to certain sends.
+    GRIDS = [
+        (40, 5000, 0.001),
+        (40, 5000, 0.3),
+        (600, 4000, 0.001),
+        (600, 4000, 0.3),
+        (600, 4000, 0.9),
+        (600, 4000, 1.0),
+    ]
+
     def test_matches_bernoulli_grid_moments(self):
         rng = np.random.default_rng(0)
-        num, s, p = 40, 5000, 0.001
-        counts = []
-        for _ in range(30):
+        trials = 10
+        for num, s, p in self.GRIDS:
+            counts = []
+            for _ in range(trials):
+                idx, slots = _sample_bernoulli_events(rng, num, s, p)
+                assert idx.size == slots.size
+                assert ((0 <= idx) & (idx < num)).all()
+                assert ((0 <= slots) & (slots < s)).all()
+                # Slot order, rows ascending within a slot: no cell twice.
+                assert np.all(np.diff(slots * num + idx) > 0)
+                counts.append(idx.size)
+            expected = num * s * p
+            if p == 1.0:
+                assert counts == [num * s] * trials
+            else:
+                sd = np.sqrt(num * s * p * (1 - p) / trials)
+                assert abs(np.mean(counts) - expected) < 5 * sd, (num, s, p)
+
+    @pytest.mark.parametrize("num,s,p", GRIDS)
+    def test_row_and_slot_counts_are_binomial(self, num, s, p):
+        # Each device's send count is Binomial(s, p) and each slot's is
+        # Binomial(num, p); pool rows over draws until the KS test has power.
+        rng = np.random.default_rng(1)
+        reference = np.random.default_rng(2)
+        draws = max(1, 400 // num)
+        rows, cols = [], []
+        for _ in range(draws):
             idx, slots = _sample_bernoulli_events(rng, num, s, p)
-            assert idx.size == slots.size
-            assert ((0 <= idx) & (idx < num)).all()
-            assert ((0 <= slots) & (slots < s)).all()
-            # no duplicate (device, slot) cells
-            assert np.unique(idx * s + slots).size == idx.size
-            counts.append(idx.size)
-        expected = num * s * p
-        assert abs(np.mean(counts) - expected) < 5 * np.sqrt(expected / 30)
+            rows.append(np.bincount(idx, minlength=num))
+            cols.append(np.bincount(slots, minlength=s)[:2000])
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        assert_same_distribution(
+            rows, reference.binomial(s, p, size=rows.size), label=f"row counts {num}x{s} p={p}"
+        )
+        assert_same_distribution(
+            cols, reference.binomial(num, p, size=cols.size), label=f"slot counts {num}x{s} p={p}"
+        )
 
     def test_degenerate_inputs(self):
         rng = np.random.default_rng(1)
@@ -369,6 +404,9 @@ class TestBernoulliEventSampler:
             assert idx.size == 0 and slots.size == 0
         idx, slots = _sample_bernoulli_events(rng, 3, 4, 1.0)
         assert idx.size == 12  # p = 1 fills the grid
+        # Geometric gaps past int64 at tiny p: still terminates, still exact.
+        idx, slots = _sample_bernoulli_events(rng, 10**6, 10**9, 1e-300)
+        assert idx.size == 0
 
 
 class TestDiskQueryGrid:

@@ -6,8 +6,8 @@
 # burst and spoof paths, multi-hop, quiet rule), the sparse-topology and
 # mobile-jammer benchmark smokes, the docs code-snippet smoke
 # (README / docs quickstarts must stay runnable), traced perfbench runs of
-# the multi-hop and the million-device single-hop workloads, and the
-# benchmark-trajectory gate over docs/bench/BENCH_*.json.
+# the single-hop attack, multi-hop and million-device single-hop workloads,
+# and the benchmark-trajectory gate over docs/bench/BENCH_*.json.
 #
 # Usage:
 #   tools/run_checks.sh            # tests + benchmark smoke + docs snippets + perfbench smokes + gate
@@ -104,6 +104,9 @@ if [[ "${1:-}" != "--no-bench" ]]; then
 fi
 
 run_step "docs code snippets" python tools/run_doc_snippets.py README.md docs/architecture.md
+
+run_step "perfbench single-hop attack smoke (blocking, spoofing, bursty, random; traced ≡ untraced, 0 failed)" \
+    perfbench_smoke singlehop-attack
 
 run_step "perfbench multi-hop smoke (traced ≡ untraced, 0 failed)" \
     perfbench_smoke multihop-gilbert
